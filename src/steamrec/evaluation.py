@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .als import FactorModel, TrainConfig, predict, train
+from .als import FactorModel, TrainConfig, _as_array, row_dots, train
 from .errors import ConfigError, EvaluationError
 from .ingest import InteractionTable, Review
 from .sentiment import ClassCounts, Lexicon, bundled_lexicon, class_counts
@@ -64,8 +64,6 @@ def split(ratings: Sequence, config: SplitConfig):
 
 
 def _columns(ratings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    from .als import _as_array
-
     arr = _as_array(ratings)
     return arr[:, 0].astype(np.intp), arr[:, 1].astype(np.intp), arr[:, 2]
 
@@ -83,23 +81,18 @@ def rmse(
     """
     test_users, test_items, test_values = _columns(test)
     train_users, train_items, _ = _columns(train_ratings)
-    seen_users = set(train_users.tolist())
-    seen_items = set(train_items.tolist())
-
-    errors = []
-    dropped = 0
-    for u, i, value in zip(test_users, test_items, test_values):
-        if int(u) in seen_users and int(i) in seen_items:
-            errors.append(predict(model, int(u), int(i)) - value)
-        else:
-            dropped += 1
-    if not errors:
+    warm = np.isin(test_users, train_users) & np.isin(test_items, train_items)
+    evaluated = int(np.count_nonzero(warm))
+    if not evaluated:
         raise EvaluationError("every test triple was cold (unseen user or item)")
-    value = float(np.sqrt(np.mean(np.square(errors))))
+    preds = row_dots(
+        model.item_factors[test_items[warm]], model.user_factors[test_users[warm]]
+    )
+    value = float(np.sqrt(np.mean(np.square(preds - test_values[warm]))))
     return EvalReport(
         rmse=value,
-        evaluated=len(errors),
-        dropped=dropped,
+        evaluated=evaluated,
+        dropped=len(warm) - evaluated,
         strategy=strategy,
         rank=model.rank,
         regularization=model.regularization,
@@ -116,7 +109,7 @@ def evaluate(
     workers: int = 1,
 ) -> EvalReport:
     """Split, train on the train side, and report held-out RMSE."""
-    train_part, test_part = split(ratings, split_config)
+    train_part, test_part = split(_as_array(ratings), split_config)
     model, _ = train(train_part, num_users, num_items, train_config, workers=workers)
     return rmse(model, test_part, train_part, strategy=strategy)
 
@@ -132,9 +125,10 @@ def sweep(
     """One evaluation per rank, reusing the same split for every rank."""
     if not ranks:
         raise ConfigError("ranks must be nonempty")
-    num_users = int(max(t.user_index if hasattr(t, "user_index") else t[0] for t in ratings)) + 1
-    num_items = int(max(t.item_index if hasattr(t, "item_index") else t[1] for t in ratings)) + 1
-    train_part, test_part = split(ratings, split_config)
+    arr = _as_array(ratings)
+    num_users = int(arr[:, 0].max()) + 1
+    num_items = int(arr[:, 1].max()) + 1
+    train_part, test_part = split(arr, split_config)
     reports = []
     for rank in ranks:
         config = dataclasses.replace(train_config, rank=rank)

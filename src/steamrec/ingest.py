@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import ast
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,8 +37,8 @@ class Interaction:
     playtime_2weeks: float = 0.0
 
     def __post_init__(self):
-        if self.playtime_forever < 0 or self.playtime_2weeks < 0:
-            raise ValueError("playtime must be non-negative")
+        if not (0 <= self.playtime_forever < math.inf and 0 <= self.playtime_2weeks < math.inf):
+            raise ValueError("playtime must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -86,8 +87,10 @@ def _parse_playtime(raw: Any, key: str, lineno: int) -> float:
         return 0.0
     try:
         value = float(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise FieldError(lineno, f"{key} {raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise FieldError(lineno, f"{key} {raw!r} is not finite")
     if value < 0:
         raise FieldError(lineno, f"{key} {raw!r} is negative")
     return value
@@ -359,7 +362,7 @@ def review_from_dict(record: dict) -> Review:
 def write_interactions_jsonl(interactions: Iterable[Interaction], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for inter in interactions:
-            handle.write(json.dumps(interaction_to_dict(inter)) + "\n")
+            handle.write(json.dumps(interaction_to_dict(inter), allow_nan=False) + "\n")
 
 
 def read_interactions_jsonl(path: str | Path) -> list[Interaction]:
@@ -374,7 +377,7 @@ def read_interactions_jsonl(path: str | Path) -> list[Interaction]:
 def write_reviews_jsonl(reviews: Iterable[Review], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for review in reviews:
-            handle.write(json.dumps(review_to_dict(review)) + "\n")
+            handle.write(json.dumps(review_to_dict(review), allow_nan=False) + "\n")
 
 
 def read_reviews_jsonl(path: str | Path) -> list[Review]:

@@ -5,7 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .als import FactorModel, predict
+import numpy as np
+
+from .als import FactorModel, row_dots
 from .ingest import InteractionTable
 
 
@@ -38,6 +40,15 @@ class UserRecommendations:
         return {"user_id": self.user_id, "items": [rec.to_dict() for rec in self.items]}
 
 
+def _check_shapes(model: FactorModel, table: InteractionTable) -> None:
+    """A model serves only the table it was trained on: the counts must match."""
+    if (model.num_users, model.num_items) != (table.num_users, table.num_items):
+        raise ValueError(
+            f"model has {model.num_users} users and {model.num_items} items, but the "
+            f"interactions have {table.num_users} users and {table.num_items} items"
+        )
+
+
 def top_k(
     model: FactorModel,
     table: InteractionTable,
@@ -47,27 +58,37 @@ def top_k(
 ) -> list[Recommendation]:
     """The k highest-scoring items for a user, ties broken by item index.
 
-    Scores are ``predict`` values; with ``exclude_seen`` the user's own
-    interactions are removed from the candidate set, so a user who owns the
-    whole catalog gets an empty list.
+    Scores are ``predict`` values, bit for bit; with ``exclude_seen`` the
+    user's own interactions are removed from the candidate set, so a user
+    who owns the whole catalog gets an empty list.  Raises ``ValueError``
+    when the model's user or item count differs from the table's.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    _check_shapes(model, table)
     if not 0 <= user_index < model.num_users:
         raise IndexError(f"user index {user_index} out of range")
-    seen = table.seen_items(user_index) if exclude_seen else frozenset()
-    candidates = [i for i in range(model.num_items) if i not in seen]
-    scored = [(predict(model, user_index, i), i) for i in candidates]
-    scored.sort(key=lambda pair: (-pair[0], pair[1]))
+    scores = row_dots(model.item_factors, model.user_factors[user_index])
+    candidates = np.arange(model.num_items)
+    if exclude_seen:
+        candidates = np.delete(candidates, list(table.seen_items(user_index)))
+    negated = -scores[candidates]
+    if k < len(candidates):
+        # Keep every candidate tied with the k-th best, then order by
+        # (-score, index) and cut.
+        kth = np.partition(negated, k - 1)[k - 1]
+        keep = negated <= kth
+        candidates, negated = candidates[keep], negated[keep]
+    order = np.lexsort((candidates, negated))[:k]
     return [
         Recommendation(
             position=pos,
             item_index=i,
             item_id=table.index.item_id(i),
             item_name=table.item_names[i],
-            score=score,
+            score=float(scores[i]),
         )
-        for pos, (score, i) in enumerate(scored[:k], start=1)
+        for pos, i in enumerate(candidates[order].tolist(), start=1)
     ]
 
 
@@ -80,10 +101,13 @@ def batch_recommend(
 ) -> list[UserRecommendations]:
     """Apply top_k per raw user id, preserving input order.
 
-    Unknown ids produce a flagged entry without affecting the others.
+    Unknown ids produce a flagged entry without affecting the others.  Raises
+    ``ValueError`` when the model's user or item count differs from the
+    table's.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    _check_shapes(model, table)
     results = []
     for user_id in user_ids:
         if not table.index.has_user(user_id):

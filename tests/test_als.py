@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from steamrec import ConfigError, SolveError
 from steamrec.als import (
+    _BLOCK_ELEMENTS,
     FactorModel,
     TrainConfig,
     group_by_item,
@@ -105,6 +108,90 @@ def test_half_step_singular_names_row():
     ]
     with pytest.raises(SolveError, match="row 1"):
         solve_half_step(fixed, groups, 0.0, np.zeros((2, 2)))
+
+
+def _reference_half_step(fixed, groups, regularization, current):
+    """One np.linalg.solve per row: the solver's arithmetic without batching."""
+    out = current.copy()
+    k = fixed.shape[1]
+    for row, (partners, values) in enumerate(groups):
+        if len(partners):
+            y = fixed[partners]
+            normal = y.T @ y + regularization * len(partners) * np.eye(k)
+            out[row] = np.linalg.solve(normal, y.T @ values)
+    return out
+
+
+def _power_law_groups(rng, rows, partners, max_degree):
+    """Zipf-like row degrees, about a fifth of the rows empty."""
+    degrees = np.minimum(rng.zipf(1.6, size=rows), max_degree)
+    degrees[rng.random(rows) < 0.2] = 0
+    return [
+        (
+            np.sort(rng.choice(partners, size=int(d), replace=False)),
+            rng.integers(1, 6, size=int(d)).astype(np.float64),
+        )
+        for d in degrees
+    ]
+
+
+def _assert_rows_close(got, expected, rtol):
+    scale = np.linalg.norm(expected, axis=1)
+    assert np.all(np.linalg.norm(got - expected, axis=1) <= rtol * scale)
+
+
+@pytest.mark.parametrize("rank", [1, 3, 12])
+def test_batched_half_step_matches_per_row_solve(rank):
+    rng = np.random.default_rng(100 + rank)
+    groups = _power_law_groups(rng, rows=400, partners=150, max_degree=150)
+    widths = {1 << max(len(p) - 1, 0).bit_length() for p, _ in groups if len(p)}
+    assert len(widths) >= 5 and any(len(p) == 0 for p, _ in groups)
+    fixed = rng.random((150, rank))
+    current = rng.random((400, rank))
+    got = solve_half_step(fixed, groups, 0.1, current)
+    _assert_rows_close(got, _reference_half_step(fixed, groups, 0.1, current), 1e-12)
+    empty = [row for row, (p, _) in enumerate(groups) if len(p) == 0]
+    assert np.array_equal(got[empty], current[empty])
+
+
+def test_batched_half_step_spans_blocks_at_rank_200():
+    rank, width = 200, 256
+    rng = np.random.default_rng(7)
+    rows_per_block = _BLOCK_ELEMENTS // (width * rank)
+    # 3 blocks' worth of rows with degrees in (128, 256], plus short rows
+    degrees = list(rng.integers(129, 257, size=3 * rows_per_block + 1)) + [1, 2, 5, 0, 40]
+    groups = [
+        (np.sort(rng.choice(300, size=int(d), replace=False)),
+         rng.integers(1, 6, size=int(d)).astype(np.float64))
+        for d in degrees
+    ]
+    fixed = rng.random((300, rank)) / np.sqrt(rank)
+    current = rng.random((len(groups), rank))
+    got = solve_half_step(fixed, groups, 0.1, current)
+    _assert_rows_close(got, _reference_half_step(fixed, groups, 0.1, current), 1e-12)
+    assert np.array_equal(got[-2], current[-2])
+
+
+@pytest.mark.parametrize(
+    "fixed, groups",
+    [
+        # rank 1: partner 1 is a zero row, so row 2's normal matrix is [[0]]
+        (
+            np.array([[1.0], [0.0], [2.0]]),
+            [(np.array([0]), np.array([1.0])), (np.array([2]), np.array([4.0])),
+             (np.array([1]), np.array([3.0])), (np.array([0]), np.array([2.0]))],
+        ),
+        # rank 2, width-2 bucket: row 2 sees only the first coordinate
+        (
+            np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+            [(np.array([0, 1]), np.array([1.0, 2.0])), (np.array([1, 0]), np.array([3.0, 1.0])),
+             (np.array([0, 2]), np.array([4.0, 5.0])), (np.array([0, 1]), np.array([2.0, 2.0]))],
+        ),
+    ],
+)
+def test_half_step_singular_row_named_within_shared_block(fixed, groups):
+    with pytest.raises(SolveError, match=r"row 2\b"):
+        solve_half_step(fixed, groups, 0.0, np.zeros((4, fixed.shape[1])))
 
 
 def test_half_step_is_blockwise_optimal():
@@ -279,6 +366,40 @@ def test_model_round_trip_and_deterministic_bytes(tmp_path):
     assert loaded.rank == 3
     assert loaded.regularization == 0.2
     assert loaded.seed == 5
+
+
+def _saved_model_bytes(tmp_path):
+    model = init_model(4, 3, TrainConfig(rank=2, seed=1))
+    path = tmp_path / "good.bin"
+    save_model(model, path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"num_users": 99}, {"num_items": 2}, {"rank": 3}, {"version": 7}, {"version": None}],
+)
+def test_load_model_rejects_header_that_disagrees(tmp_path, change):
+    header, rest = _saved_model_bytes(tmp_path).split(b"\n", 1)
+    fields = json.loads(header)
+    fields.update(change)
+    path = tmp_path / "bad.bin"
+    path.write_bytes(json.dumps(fields).encode() + b"\n" + rest)
+    with pytest.raises(ValueError):
+        load_model(path)
+
+
+def test_load_model_rejects_truncated_or_padded_file(tmp_path):
+    data = _saved_model_bytes(tmp_path)
+    header_end = data.index(b"\n") + 1
+    path = tmp_path / "cut.bin"
+    for cut in (1, header_end - 5, header_end, header_end + 30, len(data) // 2, len(data) - 1):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError):
+            load_model(path)
+    path.write_bytes(data + b"\0")
+    with pytest.raises(ValueError):
+        load_model(path)
 
 
 def test_load_model_rejects_other_files(tmp_path):

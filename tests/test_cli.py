@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import steamrec
 from steamrec.cli import RunConfig, build_parser, main, run_pipeline
 from steamrec.errors import ConfigError, PipelineError
 
@@ -184,3 +187,52 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["class"] == "Negative"
+
+
+def test_recommend_with_model_from_other_table_is_one_line_error(tmp_path, capsys):
+    assert main(_pipeline_args(tmp_path)) == 0
+    out = tmp_path / "out"
+    lines = (out / "interactions.jsonl").read_text(encoding="utf-8").splitlines()
+    # drop every interaction of one item: the table has one item fewer than the model
+    dropped_item = json.loads(lines[0])["item_id"]
+    smaller = tmp_path / "smaller.jsonl"
+    smaller.write_text(
+        "".join(line + "\n" for line in lines if json.loads(line)["item_id"] != dropped_item),
+        encoding="utf-8",
+    )
+    capsys.readouterr()
+    code = main(["recommend", "--model", str(out / "model.bin"),
+                 "--interactions", str(smaller), "--users", "player01", "--k", "5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "items" in captured.err
+
+
+def test_recommend_with_corrupt_model_is_one_line_error(tmp_path, capsys):
+    assert main(_pipeline_args(tmp_path)) == 0
+    out = tmp_path / "out"
+    data = (out / "model.bin").read_bytes()
+    broken = tmp_path / "broken.bin"
+    broken.write_bytes(data[: len(data) // 2])
+    capsys.readouterr()
+    code = main(["recommend", "--model", str(broken),
+                 "--interactions", str(out / "interactions.jsonl"), "--users", "player01"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.count("\n") == 1 and "broken.bin" in captured.err
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    src = Path(steamrec.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import steamrec.cli, sys; assert 'scipy' not in sys.modules"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr

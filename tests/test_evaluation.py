@@ -10,7 +10,7 @@ from steamrec import (
     split,
     stats,
 )
-from steamrec.als import FactorModel, TrainConfig
+from steamrec.als import FactorModel, TrainConfig, predict
 from steamrec.evaluation import evaluate, format_stats, rmse, sweep, sweep_csv
 from steamrec.sentiment import Lexicon
 
@@ -111,6 +111,35 @@ def test_rmse_invariant_to_test_ordering():
     forward = rmse(model, triples, triples).rmse
     backward = rmse(model, triples[::-1], triples).rmse
     assert backward == pytest.approx(forward, rel=1e-12)
+
+
+def _loop_rmse(model, test, train_part):
+    """Per-triple reference: predict each warm triple, count the cold ones."""
+    seen_users = {u for u, _, _ in train_part}
+    seen_items = {i for _, i, _ in train_part}
+    errors, dropped = [], 0
+    for u, i, value in test:
+        if u in seen_users and i in seen_items:
+            errors.append(predict(model, u, i) - value)
+        else:
+            dropped += 1
+    return float(np.sqrt(np.mean(np.square(errors)))), len(errors), dropped
+
+
+def test_rmse_matches_per_triple_loop():
+    rng = np.random.default_rng(21)
+    model = FactorModel(rng.random((40, 3)), rng.random((25, 3)), rank=3, regularization=0.1)
+    # training touches only users < 30 and items < 20, so some test triples are cold
+    train_part = [(int(u), int(i), 3.0) for u, i in zip(rng.integers(0, 30, 200),
+                                                         rng.integers(0, 20, 200))]
+    test_part = [(int(u), int(i), float(v)) for u, i, v in zip(rng.integers(0, 40, 300),
+                                                                rng.integers(0, 25, 300),
+                                                                rng.integers(1, 6, 300))]
+    expected, evaluated, dropped = _loop_rmse(model, test_part, train_part)
+    assert 0 < dropped < len(test_part)
+    report = rmse(model, test_part, train_part)
+    assert (report.evaluated, report.dropped) == (evaluated, dropped)
+    assert report.rmse == pytest.approx(expected, rel=1e-12)
 
 
 # -- sweep -----------------------------------------------------------------------

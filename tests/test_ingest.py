@@ -96,6 +96,35 @@ def test_negative_playtime_is_field_error():
         )
 
 
+@pytest.mark.parametrize("key", ["playtime_forever", "playtime_2weeks"])
+@pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity", "1e999", '"nan"', '"inf"'])
+def test_non_finite_playtime_is_field_error_with_line_number(key, raw):
+    good = '{"user_id":"u0","items":[]}'
+    bad = '{"user_id":"u1","items":[{"item_id":"10","%s":%s}]}' % (key, raw)
+    with pytest.raises(FieldError, match=key) as excinfo:
+        parse_user_items([good, bad])
+    assert excinfo.value.line_number == 2
+
+
+def test_python_literal_infinite_playtime_is_field_error():
+    line = "{'user_id': 'u1', 'items': [{'item_id': '10', 'playtime_forever': 1e999}]}"
+    with pytest.raises(FieldError):
+        parse_user_items([line])
+
+
+def test_non_finite_playtime_never_reaches_jsonl(tmp_path):
+    with pytest.raises(ValueError):
+        make_interaction(forever=float("nan"))
+    path = tmp_path / "interactions.jsonl"
+    path.write_text(
+        '{"user_id": "u1", "item_id": 10, "item_name": "x", '
+        '"playtime_forever": NaN, "playtime_2weeks": 0}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError):
+        read_interactions_jsonl(path)
+
+
 def test_duplicate_pair_keeps_max_playtime():
     line = (
         '{"user_id":"u1","items":['

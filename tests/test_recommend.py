@@ -144,3 +144,42 @@ def test_to_dict_shapes():
     assert set(ok["items"][0]) == {"position", "item_id", "item_name", "score"}
     flagged = results[1].to_dict()
     assert set(flagged) == {"user_id", "error"}
+
+
+def _oracle_top_k(model, table, user_index, k, exclude_seen):
+    """Brute force: every candidate scored by predict, sorted by (-score, index)."""
+    seen = table.seen_items(user_index) if exclude_seen else set()
+    scored = sorted(
+        (-predict(model, user_index, i), i) for i in range(model.num_items) if i not in seen
+    )
+    return [(i, -neg) for neg, i in scored[:k]]
+
+
+@pytest.mark.parametrize("exclude_seen", [True, False])
+def test_top_k_matches_oracle_with_ties_at_the_cut(exclude_seen):
+    rng = np.random.default_rng(11)
+    playtimes = {
+        item: [(f"u{u}", 1 + int(u)) for u in rng.choice(6, 3, replace=False)]
+        for item in range(30)
+    }
+    table = table_from_playtimes(playtimes)
+    # three distinct item rows repeated, so every score is shared by ~10 items
+    # and ties straddle every cut position
+    distinct = rng.random((3, 4))
+    item_rows = distinct[rng.integers(0, 3, size=table.num_items)]
+    model = _model(rng.random((table.num_users, 4)), item_rows)
+    for u in range(table.num_users):
+        candidates = table.num_items - (len(table.seen_items(u)) if exclude_seen else 0)
+        for k in (1, 4, 7, 12, candidates, candidates + 5):
+            got = [(r.item_index, r.score) for r in top_k(model, table, u, k, exclude_seen)]
+            assert got == _oracle_top_k(model, table, u, k, exclude_seen)
+
+
+def test_model_and_table_shapes_must_match():
+    table = _catalog_table()  # 3 users, 4 items
+    for users, items in ((3, 5), (3, 3), (2, 4), (4, 4)):
+        model = _model(np.ones((users, 1)), np.ones((items, 1)))
+        with pytest.raises(ValueError, match="items"):
+            top_k(model, table, 0, 2)
+        with pytest.raises(ValueError, match="items"):
+            batch_recommend(model, table, ["a"], k=2)
