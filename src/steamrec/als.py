@@ -256,24 +256,38 @@ def objective(
     regularization: float,
 ) -> float:
     """Weighted-regularization training objective J over the observed triples."""
-    arr = _as_array(ratings)
-    users = arr[:, 0].astype(np.intp)
-    items = arr[:, 1].astype(np.intp)
-    values = arr[:, 2]
-    fit = 0.0
-    for lo in range(0, len(arr), _OBJECTIVE_CHUNK):
-        hi = lo + _OBJECTIVE_CHUNK
-        preds = np.einsum(
-            "ij,ij->i", user_factors[users[lo:hi]], item_factors[items[lo:hi]]
-        )
-        fit += float(np.sum((values[lo:hi] - preds) ** 2))
-    user_counts = np.bincount(users, minlength=user_factors.shape[0])
-    item_counts = np.bincount(items, minlength=item_factors.shape[0])
-    reg = regularization * (
-        float(user_counts @ np.einsum("ij,ij->i", user_factors, user_factors))
-        + float(item_counts @ np.einsum("ij,ij->i", item_factors, item_factors))
+    return _Observed(_as_array(ratings), len(user_factors), len(item_factors)).objective(
+        user_factors, item_factors, regularization
     )
-    return fit + reg
+
+
+class _Observed:
+    """The parts of the objective that the factors do not change: index
+    columns, ratings and per-row observation counts."""
+
+    def __init__(self, arr: np.ndarray, num_users: int, num_items: int):
+        self.users = arr[:, 0].astype(np.intp)
+        self.items = arr[:, 1].astype(np.intp)
+        self.values = arr[:, 2]
+        self.user_counts = np.bincount(self.users, minlength=num_users)
+        self.item_counts = np.bincount(self.items, minlength=num_items)
+
+    def objective(
+        self, user_factors: np.ndarray, item_factors: np.ndarray, regularization: float
+    ) -> float:
+        users, items, values = self.users, self.items, self.values
+        fit = 0.0
+        for lo in range(0, len(values), _OBJECTIVE_CHUNK):
+            hi = lo + _OBJECTIVE_CHUNK
+            preds = np.einsum(
+                "ij,ij->i", user_factors[users[lo:hi]], item_factors[items[lo:hi]]
+            )
+            fit += float(np.sum((values[lo:hi] - preds) ** 2))
+        reg = regularization * (
+            float(self.user_counts @ np.einsum("ij,ij->i", user_factors, user_factors))
+            + float(self.item_counts @ np.einsum("ij,ij->i", item_factors, item_factors))
+        )
+        return fit + reg
 
 
 def train(
@@ -317,12 +331,14 @@ def train(
     item_groups = group_by_item(arr, num_items)
     lam = config.regularization
 
+    observed = _Observed(arr, num_users, num_items)
+
     trace = LossTrace()
     for _ in range(config.iterations):
         user_factors = solve_half_step(item_factors, user_groups, lam, user_factors)
-        trace.values.append(objective(user_factors, item_factors, arr, lam))
+        trace.values.append(observed.objective(user_factors, item_factors, lam))
         item_factors = solve_half_step(user_factors, item_groups, lam, item_factors)
-        trace.values.append(objective(user_factors, item_factors, arr, lam))
+        trace.values.append(observed.objective(user_factors, item_factors, lam))
 
     model = FactorModel(
         user_factors=user_factors,

@@ -14,9 +14,12 @@ import json
 import logging
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
+
+import numpy as np
 
 from . import als, evaluation, ingest, ratings, recommend, sentiment
 from .errors import ConfigError, PipelineError, SteamrecError
@@ -28,16 +31,33 @@ def _default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _atomic_write(path: Path, writer: Callable[[Path], None]) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    writer(tmp)
-    os.replace(tmp, path)
+    """Run ``writer`` on a fresh temp file beside ``path``, then rename it into place.
+
+    The temp name is unique per call, so concurrent writes to one directory
+    never share it; the temp file is removed when the writer raises.
+    """
+    fd, name = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    os.close(fd)
+    tmp = Path(name)
+    try:
+        # mkstemp creates the file private (0600); give it the mode open() would.
+        os.chmod(tmp, 0o666 & ~_umask())
+        writer(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _umask() -> int:
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
+def _atomic_write_text(path: Path, text: str) -> None:
+    _atomic_write(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def _load_lexicon(path: str | None) -> sentiment.Lexicon:
@@ -149,18 +169,18 @@ def run_pipeline(config: RunConfig) -> dict[str, Path]:
 
     def do_derive():
         lexicon = _load_lexicon(config.lexicon_path)
-        triples = ratings.derive(table, reviews, lexicon, config.strategy)
+        rows = ratings.derive_array(table, reviews, lexicon, config.strategy)
         path = out_dir / "ratings.csv"
-        _atomic_write(path, lambda tmp: ratings.write_ratings_csv(triples, tmp))
+        _atomic_write(path, lambda tmp: ratings.write_ratings_csv(rows, tmp))
         artifacts["ratings"] = path
-        logger.info("derived %d ratings with strategy %s", len(triples), config.strategy.value)
-        return triples
+        logger.info("derived %d ratings with strategy %s", len(rows), config.strategy.value)
+        return rows
 
-    triples = stage("derive", do_derive)
+    rows = stage("derive", do_derive)
 
     def do_train():
         model, _ = als.train(
-            triples, table.num_users, table.num_items, config.train, workers=workers
+            rows, table.num_users, table.num_items, config.train, workers=workers
         )
         path = out_dir / "model.bin"
         _atomic_write(path, lambda tmp: als.save_model(model, tmp))
@@ -171,7 +191,7 @@ def run_pipeline(config: RunConfig) -> dict[str, Path]:
 
     def do_evaluate():
         report = evaluation.evaluate(
-            triples,
+            rows,
             table.num_users,
             table.num_items,
             config.train,
@@ -255,21 +275,23 @@ def cmd_derive(args) -> int:
     reviews = ingest.read_reviews_any(args.reviews) if args.reviews else []
     if strategy is not ratings.Strategy.PLAYTIME_ONLY and not args.reviews:
         raise ConfigError(f"strategy {strategy.value!r} requires --reviews")
-    triples = ratings.derive(table, reviews, _load_lexicon(args.lexicon), strategy)
-    _atomic_write(Path(args.out), lambda tmp: ratings.write_ratings_csv(triples, tmp))
-    print(f"wrote {len(triples)} ratings to {args.out}")
+    rows = ratings.derive_array(table, reviews, _load_lexicon(args.lexicon), strategy)
+    _atomic_write(Path(args.out), lambda tmp: ratings.write_ratings_csv(rows, tmp))
+    print(f"wrote {len(rows)} ratings to {args.out}")
     return 0
 
 
-def _dims(triples) -> tuple[int, int]:
-    num_users = max(t.user_index for t in triples) + 1
-    num_items = max(t.item_index for t in triples) + 1
-    return num_users, num_items
+def _read_ratings(path: str) -> tuple[np.ndarray, int, int]:
+    """The (N, 3) rows of a ratings.csv and the user and item counts they imply."""
+    rows = ratings.read_ratings_array(path)
+    if not len(rows):
+        raise ValueError(f"{path}: no ratings")
+    num_users, num_items = (rows[:, :2].max(axis=0) + 1).tolist()
+    return rows, num_users, num_items
 
 
 def cmd_train(args) -> int:
-    triples = ratings.read_ratings_csv(args.ratings)
-    num_users, num_items = _dims(triples)
+    rows, num_users, num_items = _read_ratings(args.ratings)
     config = als.TrainConfig(
         rank=args.rank,
         iterations=args.iters,
@@ -277,21 +299,20 @@ def cmd_train(args) -> int:
         seed=args.seed,
     )
     model, trace = als.train(
-        triples, num_users, num_items, config, workers=args.workers or _default_workers()
+        rows, num_users, num_items, config, workers=args.workers or _default_workers()
     )
     _atomic_write(Path(args.out), lambda tmp: als.save_model(model, tmp))
     print(
-        f"trained rank-{config.rank} model on {len(triples)} ratings "
+        f"trained rank-{config.rank} model on {len(rows)} ratings "
         f"(final objective {trace.values[-1]:.4f}); wrote {args.out}"
     )
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    triples = ratings.read_ratings_csv(args.ratings)
-    num_users, num_items = _dims(triples)
+    rows, num_users, num_items = _read_ratings(args.ratings)
     report = evaluation.evaluate(
-        triples,
+        rows,
         num_users,
         num_items,
         als.TrainConfig(
@@ -309,10 +330,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    triples = ratings.read_ratings_csv(args.ratings)
+    rows, _, _ = _read_ratings(args.ratings)
     ranks = [int(r) for r in args.ranks.split(",") if r.strip()]
     reports = evaluation.sweep(
-        triples,
+        rows,
         ranks,
         als.TrainConfig(
             rank=ranks[0],

@@ -18,12 +18,18 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import islice
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from .errors import FieldError, ParseError
 
 _LEADING_COUNT_RE = re.compile(r"\d[\d,]*")
+_PY_STRING_RE = re.compile(r"""('[^']*'|"[^"]*")""")
+_JSON_ONLY_WORD_RE = re.compile(r"null|true|false|NaN|Infinity")
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
+_JSONL_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -54,12 +60,53 @@ class Review:
     posted: str = ""
 
 
+def _literal_to_json(line: str) -> str | None:
+    """Translate a backslash-free Python-literal line to JSON, or None.
+
+    Without backslashes a quoted string ends at the next quote of its kind,
+    so one split finds every string.  Strings are re-quoted with double
+    quotes; outside them ``True``/``False``/``None`` become ``true``/
+    ``false``/``null``.  JSON then accepts the result only if it is a
+    literal with the same value: an unterminated string leaves an odd
+    number of quotes, and triple quotes, implicit concatenation, string
+    prefixes, tuples, sets, trailing commas and non-string keys are all
+    invalid JSON.  None is returned for backslashes, whose escapes differ
+    between the two, and for what JSON would read but Python would not: a
+    JSON-only word outside strings, a NUL, a lone surrogate.
+    """
+    if "\\" in line or "\0" in line or _SURROGATE_RE.search(line):
+        return None
+    if '"' in line:
+        parts = _PY_STRING_RE.split(line)
+        parts[1::2] = [quoted[1:-1].replace('"', '\\"') for quoted in parts[1::2]]
+    else:
+        parts = line.split("'")
+    # Even parts lie outside strings, odd parts are string bodies.
+    code = "\0".join(parts[0::2])
+    if _JSON_ONLY_WORD_RE.search(code):
+        return None
+    code = code.replace("True", "true").replace("False", "false").replace("None", "null")
+    parts[0::2] = code.split("\0")
+    return '"'.join(parts)
+
+
 def _loads_tolerant(line: str, lineno: int) -> Any:
-    """Parse one line as strict JSON, falling back to a Python literal."""
+    """Parse one line as strict JSON, falling back to a Python literal.
+
+    A Python-literal line is decoded through :func:`_literal_to_json` when
+    it can be, and by ``ast.literal_eval`` otherwise; both give the same
+    value for every line the translation accepts.
+    """
     try:
         return json.loads(line)
     except json.JSONDecodeError:
         pass
+    translated = _literal_to_json(line)
+    if translated is not None:
+        try:
+            return json.loads(translated)
+        except (ValueError, RecursionError):
+            pass
     try:
         return ast.literal_eval(line)
     except (ValueError, SyntaxError, MemoryError, RecursionError):
@@ -359,10 +406,57 @@ def review_from_dict(record: dict) -> Review:
     )
 
 
-def write_interactions_jsonl(interactions: Iterable[Interaction], path: str | Path) -> None:
+def _write_jsonl(lines: Iterable[str], path: str | Path) -> None:
+    """Write one line per record, joined in chunks of ``_JSONL_CHUNK`` lines."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for inter in interactions:
-            handle.write(json.dumps(interaction_to_dict(inter), allow_nan=False) + "\n")
+        lines = iter(lines)
+        while chunk := list(islice(lines, _JSONL_CHUNK)):
+            handle.write("\n".join(chunk) + "\n")
+
+
+def _interaction_line(inter: Interaction) -> str:
+    """``json.dumps(interaction_to_dict(inter), allow_nan=False)``, formatted directly.
+
+    Fields of any other type than declared, or a non-finite playtime, go
+    through ``json.dumps`` itself, so the bytes and the refusal are its own.
+    """
+    user_id, item_id, name = inter.user_id, inter.item_id, inter.item_name
+    forever, recent = inter.playtime_forever, inter.playtime_2weeks
+    if (
+        type(user_id) is str and type(item_id) is int and type(name) is str
+        and type(forever) is float and type(recent) is float
+        and -math.inf < forever < math.inf and -math.inf < recent < math.inf
+    ):
+        return (
+            f'{{"user_id": {_encode_str(user_id)}, "item_id": {int.__repr__(item_id)}, '
+            f'"item_name": {_encode_str(name)}, "playtime_forever": {float.__repr__(forever)}, '
+            f'"playtime_2weeks": {float.__repr__(recent)}}}'
+        )
+    return json.dumps(interaction_to_dict(inter), allow_nan=False)
+
+
+def _review_line(review: Review) -> str:
+    """``json.dumps(review_to_dict(review), allow_nan=False)``, formatted directly."""
+    user_id, item_id, text = review.user_id, review.item_id, review.text
+    recommended, funny, helpful, posted = (
+        review.recommended, review.funny, review.helpful, review.posted
+    )
+    if (
+        type(user_id) is str and type(item_id) is int and type(text) is str
+        and type(recommended) is bool and type(funny) is int and type(helpful) is int
+        and type(posted) is str
+    ):
+        return (
+            f'{{"user_id": {_encode_str(user_id)}, "item_id": {int.__repr__(item_id)}, '
+            f'"text": {_encode_str(text)}, "recommended": {"true" if recommended else "false"}, '
+            f'"funny": {int.__repr__(funny)}, "helpful": {int.__repr__(helpful)}, '
+            f'"posted": {_encode_str(posted)}}}'
+        )
+    return json.dumps(review_to_dict(review), allow_nan=False)
+
+
+def write_interactions_jsonl(interactions: Iterable[Interaction], path: str | Path) -> None:
+    _write_jsonl(map(_interaction_line, interactions), path)
 
 
 def read_interactions_jsonl(path: str | Path) -> list[Interaction]:
@@ -375,9 +469,7 @@ def read_interactions_jsonl(path: str | Path) -> list[Interaction]:
 
 
 def write_reviews_jsonl(reviews: Iterable[Review], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for review in reviews:
-            handle.write(json.dumps(review_to_dict(review), allow_nan=False) + "\n")
+    _write_jsonl(map(_review_line, reviews), path)
 
 
 def read_reviews_jsonl(path: str | Path) -> list[Review]:

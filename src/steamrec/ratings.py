@@ -7,13 +7,14 @@ the explicit recommend flag.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
-from statistics import median
 from typing import Iterable
+
+import numpy as np
 
 from .ingest import InteractionTable, Review
 from .sentiment import Lexicon, SentimentClass, classify, score
@@ -21,6 +22,7 @@ from .sentiment import Lexicon, SentimentClass, classify, score
 logger = logging.getLogger(__name__)
 
 RATINGS_CSV_HEADER = ["user_index", "item_index", "rating"]
+_CSV_CHUNK = 4096
 
 
 class Strategy(str, Enum):
@@ -40,17 +42,48 @@ class RatingTriple:
             raise ValueError(f"rating {self.rating} outside 1..5")
 
 
+def _interaction_columns(table: InteractionTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(user_index, item_index, playtime_forever) columns in interaction order."""
+    inters = table.interactions
+    n = len(inters)
+    users = np.fromiter(
+        map(table.index.user_index, map(attrgetter("user_id"), inters)), np.intp, n
+    )
+    items = np.fromiter(
+        map(table.index.item_index, map(attrgetter("item_id"), inters)), np.intp, n
+    )
+    playtimes = np.fromiter(map(attrgetter("playtime_forever"), inters), np.float64, n)
+    return users, items, playtimes
+
+
+def _item_medians(items: np.ndarray, playtimes: np.ndarray, num_items: int) -> np.ndarray:
+    """Median playtime per item index, NaN for an item without interactions.
+
+    One sort by (item, playtime); each item's median is its segment's middle
+    value, or for an even count ``(a + b) / 2`` of the two middle values, the
+    arithmetic of ``statistics.median``.
+    """
+    ordered = playtimes[np.lexsort((playtimes, items))]
+    counts = np.bincount(items, minlength=num_items)
+    present = counts > 0
+    starts = (np.cumsum(counts) - counts)[present]
+    low = ordered[starts + (counts[present] - 1) // 2]
+    high = ordered[starts + counts[present] // 2]
+    medians = np.full(num_items, np.nan)
+    medians[present] = np.where(counts[present] % 2 == 1, low, (low + high) / 2)
+    return medians
+
+
 def median_playtime(table: InteractionTable) -> dict[int, float]:
     """Median ``playtime_forever`` per item index, zeros included.
 
     Items without interactions are absent from the map.  Even-sized samples
     use the mean of the two middle values.
     """
-    return {
-        item: float(median(playtime for _, playtime in pairs))
-        for item, pairs in enumerate(table.by_item)
-        if pairs
-    }
+    _, items, playtimes = _interaction_columns(table)
+    medians = _item_medians(items, playtimes, table.num_items)
+    present = np.flatnonzero(~np.isnan(medians))
+    return dict(zip(present.tolist(), medians[present].tolist()))
 
 
 def playtime_rating(playtime: float, item_median: float) -> int:
@@ -109,22 +142,73 @@ def match_reviews(
     A review is unmatchable when its (user, item) pair has no interaction in
     the table.
     """
-    pairs = {
-        (table.index.user_index(inter.user_id), table.index.item_index(inter.item_id))
-        for inter in table.interactions
-    }
+    pairs = set(map(attrgetter("user_id", "item_id"), table.interactions))
     matched: dict[tuple[int, int], Review] = {}
     skipped = 0
     for review in reviews:
-        if not table.index.has_user(review.user_id) or not table.index.has_item(review.item_id):
+        if (review.user_id, review.item_id) not in pairs:
             skipped += 1
             continue
         key = (table.index.user_index(review.user_id), table.index.item_index(review.item_id))
-        if key not in pairs:
-            skipped += 1
-            continue
         matched[key] = review
     return matched, skipped
+
+
+def derive_array(
+    table: InteractionTable,
+    reviews: Iterable[Review] = (),
+    lexicon: Lexicon | None = None,
+    strategy: Strategy = Strategy.PLAYTIME_ONLY,
+) -> np.ndarray:
+    """(N, 3) int64 rows of (user_index, item_index, rating), in interaction order.
+
+    The playtime bucket is always computed first; the sentiment strategy then
+    applies the matching review's class (scored with ``lexicon``) and the
+    recommend strategy the review's explicit flag.  Interactions without a
+    review are left at their playtime rating; reviews without a matching
+    interaction are skipped with a counted warning.  Each rating equals
+    :func:`playtime_rating` followed by :func:`adjust_with_sentiment` or
+    :func:`adjust_with_recommendation`, computed over whole columns.
+    """
+    strategy = Strategy(strategy)
+    if strategy is Strategy.PLAYTIME_SENTIMENT and lexicon is None:
+        raise ValueError("sentiment strategy needs a lexicon")
+    users, items, playtimes = _interaction_columns(table)
+    medians = _item_medians(items, playtimes, table.num_items)[items]
+    # One plus the number of thresholds exceeded is the bucket of
+    # playtime_rating; a zero median gives 5 for any play and 1 for none.
+    rating = 1 + (
+        (playtimes > 0.2 * medians).astype(np.int64)
+        + (playtimes > 0.5 * medians)
+        + (playtimes > 0.8 * medians)
+        + (playtimes > medians)
+    )
+    if strategy is not Strategy.PLAYTIME_ONLY:
+        matched, skipped = match_reviews(table, reviews)
+        if skipped:
+            logger.warning("skipped %d review(s) with no matching interaction", skipped)
+        keys = users * table.num_items + items
+        review_keys = np.fromiter(
+            (u * table.num_items + i for u, i in matched), np.int64, len(matched)
+        )
+        order = np.argsort(review_keys)
+        found = np.flatnonzero(np.isin(keys, review_keys))
+        review_of = order[np.searchsorted(review_keys, keys[found], sorter=order)]
+        reviewed = list(matched.values())
+        if strategy is Strategy.PLAYTIME_SENTIMENT:
+            step = {SentimentClass.POSITIVE: 1, SentimentClass.NEGATIVE: -1}
+            delta = np.array(
+                [step.get(classify(score(review.text, lexicon)), 0) for review in reviewed],
+                dtype=np.int64,
+            )
+            rating[found] = np.clip(rating[found] + delta[review_of], 1, 5)
+        else:
+            flags = [review.recommended for review in reviewed]
+            up = np.array([flag is True for flag in flags], dtype=bool)[review_of]
+            down = np.array([flag is False for flag in flags], dtype=bool)[review_of]
+            current = rating[found]
+            rating[found] = current + 2 * (up & (current <= 3)) - 2 * (down & (current >= 4))
+    return np.column_stack([users, items, rating])
 
 
 def derive(
@@ -133,60 +217,60 @@ def derive(
     lexicon: Lexicon | None = None,
     strategy: Strategy = Strategy.PLAYTIME_ONLY,
 ) -> list[RatingTriple]:
-    """One RatingTriple per interaction, in interaction order.
-
-    The playtime bucket is always computed first; the sentiment strategy then
-    applies the matching review's class (scored with ``lexicon``) and the
-    recommend strategy the review's explicit flag.  Interactions without a
-    review are left at their playtime rating; reviews without a matching
-    interaction are skipped with a counted warning.
-    """
-    strategy = Strategy(strategy)
-    if strategy is Strategy.PLAYTIME_SENTIMENT and lexicon is None:
-        raise ValueError("sentiment strategy needs a lexicon")
-    medians = median_playtime(table)
-    matched: dict[tuple[int, int], Review] = {}
-    if strategy is not Strategy.PLAYTIME_ONLY:
-        matched, skipped = match_reviews(table, reviews)
-        if skipped:
-            logger.warning("skipped %d review(s) with no matching interaction", skipped)
-    labels: dict[tuple[int, int], SentimentClass] = {}
-    if strategy is Strategy.PLAYTIME_SENTIMENT:
-        labels = {
-            key: classify(score(review.text, lexicon)) for key, review in matched.items()
-        }
-
-    triples: list[RatingTriple] = []
-    for inter in table.interactions:
-        u = table.index.user_index(inter.user_id)
-        i = table.index.item_index(inter.item_id)
-        rating = playtime_rating(inter.playtime_forever, medians[i])
-        if strategy is Strategy.PLAYTIME_SENTIMENT:
-            rating = adjust_with_sentiment(rating, labels.get((u, i)))
-        elif strategy is Strategy.PLAYTIME_RECOMMEND:
-            review = matched.get((u, i))
-            rating = adjust_with_recommendation(
-                rating, review.recommended if review is not None else None
-            )
-        triples.append(RatingTriple(user_index=u, item_index=i, rating=rating))
-    return triples
+    """One RatingTriple per interaction, in interaction order: :func:`derive_array`
+    as a list."""
+    return [
+        RatingTriple(u, i, r) for u, i, r in derive_array(table, reviews, lexicon, strategy).tolist()
+    ]
 
 
-def write_ratings_csv(triples: Iterable[RatingTriple], path: str | Path) -> None:
+def write_ratings_csv(triples, path: str | Path) -> None:
+    """Write ``ratings.csv`` from an (N, 3) integer array or RatingTriples."""
+    if not isinstance(triples, np.ndarray):
+        triples = np.array(
+            [(t.user_index, t.item_index, t.rating) for t in triples], dtype=np.int64
+        ).reshape(-1, 3)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(RATINGS_CSV_HEADER)
-        for triple in triples:
-            writer.writerow([triple.user_index, triple.item_index, triple.rating])
+        handle.write(",".join(RATINGS_CSV_HEADER) + "\n")
+        for lo in range(0, len(triples), _CSV_CHUNK):
+            chunk = triples[lo : lo + _CSV_CHUNK]
+            handle.write(("%d,%d,%d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
+def read_ratings_array(path: str | Path) -> np.ndarray:
+    """Read ``ratings.csv`` into an (N, 3) int64 array of (user, item, rating).
+
+    Raises ``ValueError`` for a wrong header, and naming the line for a row
+    that is not three integers or a rating outside 1..5.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        lines = handle.read().splitlines()
+    if not lines or lines[0].split(",") != RATINGS_CSV_HEADER:
+        raise ValueError(f"{path}: expected header {','.join(RATINGS_CSV_HEADER)}")
+    body = lines[1:]
+    if not body:
+        return np.empty((0, 3), dtype=np.int64)
+    try:
+        if not all(line.count(",") == 2 for line in body):
+            raise ValueError("a row without three fields")
+        rows = np.array(",".join(body).split(","), dtype=np.int64).reshape(-1, 3)
+    except (ValueError, OverflowError):
+        raise _bad_row(path, body) from None
+    bad = np.flatnonzero((rows[:, 2] < 1) | (rows[:, 2] > 5))
+    if bad.size:
+        raise ValueError(f"{path}: line {bad[0] + 2}: rating {rows[bad[0], 2]} outside 1..5")
+    return rows
+
+
+def _bad_row(path: str | Path, body: list[str]) -> ValueError:
+    for lineno, line in enumerate(body, start=2):
+        try:
+            np.array(line.split(","), dtype=np.int64).reshape(3)
+        except (ValueError, OverflowError):
+            return ValueError(f"{path}: line {lineno}: {line!r} is not three integers")
+    return ValueError(f"{path}: rows are not three integers each")
 
 
 def read_ratings_csv(path: str | Path) -> list[RatingTriple]:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != RATINGS_CSV_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(RATINGS_CSV_HEADER)}")
-        return [
-            RatingTriple(user_index=int(u), item_index=int(i), rating=int(r))
-            for u, i, r in reader
-        ]
+    """:func:`read_ratings_array` as a list of RatingTriples."""
+    return [RatingTriple(u, i, r) for u, i, r in read_ratings_array(path).tolist()]

@@ -253,6 +253,24 @@ def test_loss_trace_non_increasing_on_random_instances():
         assert trace.is_non_increasing(rel_tol=1e-9)
 
 
+def test_loss_trace_equals_public_objective_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for num_users, num_items, count in ((12, 9, 60), (40, 25, 300), (7, 30, 90)):
+        arr = random_rating_array(rng, num_users, num_items, count)
+        config = TrainConfig(rank=3, iterations=3, regularization=0.1, seed=5)
+        _, trace = train(arr, num_users, num_items, config)
+        model = init_model(num_users, num_items, config)
+        user_factors, item_factors = model.user_factors, model.item_factors
+        by_user, by_item = group_by_user(arr, num_users), group_by_item(arr, num_items)
+        expected = []
+        for _ in range(config.iterations):
+            user_factors = solve_half_step(item_factors, by_user, 0.1, user_factors)
+            expected.append(objective(user_factors, item_factors, arr, 0.1))
+            item_factors = solve_half_step(user_factors, by_item, 0.1, item_factors)
+            expected.append(objective(user_factors, item_factors, arr, 0.1))
+        assert trace.values == expected
+
+
 def test_train_deterministic_across_runs_and_workers():
     rng = np.random.default_rng(4)
     arr = random_rating_array(rng, 25, 18, 150)

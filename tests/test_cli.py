@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import steamrec
+from steamrec import cli
 from steamrec.cli import RunConfig, build_parser, main, run_pipeline
 from steamrec.errors import ConfigError, PipelineError
 
@@ -236,3 +237,48 @@ def test_importing_the_cli_does_not_import_scipy():
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
+def test_bad_ratings_row_is_one_line_error_naming_the_line(tmp_path, capsys, command):
+    path = tmp_path / "ratings.csv"
+    path.write_text("user_index,item_index,rating\n0,0,5\n1,0,4\n0,1,7\n", encoding="utf-8")
+    extra = ["--ranks", "1"] if command == "sweep" else []
+    code = main([command, "--ratings", str(path), *extra])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"steamrec: error: {path}: line 4: rating 7 outside 1..5\n"
+
+
+def test_atomic_write_failure_leaves_no_temp_and_keeps_old_artifact(tmp_path):
+    target = tmp_path / "ratings.csv"
+    target.write_text("old\n", encoding="utf-8")
+
+    def failing_writer(tmp):
+        tmp.write_text("partial", encoding="utf-8")
+        raise RuntimeError("disk full")
+
+    with pytest.raises(RuntimeError):
+        cli._atomic_write(target, failing_writer)
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ratings.csv"]
+
+
+def test_atomic_writes_to_one_directory_do_not_collide(tmp_path):
+    target = tmp_path / "eval.json"
+    temp_names = []
+
+    def outer(tmp):
+        temp_names.append(tmp.name)
+        tmp.write_text("outer\n", encoding="utf-8")
+        # a second run writing the same artifact while this one is in flight
+        cli._atomic_write_text(target, "inner\n")
+        assert tmp.read_text(encoding="utf-8") == "outer\n"
+
+    cli._atomic_write(target, outer)
+    assert target.read_text(encoding="utf-8") == "outer\n"
+    assert not list(tmp_path.glob("*.tmp"))
+    assert temp_names[0] != "eval.json.tmp"
+    reference = tmp_path / "reference"
+    reference.write_text("", encoding="utf-8")
+    assert target.stat().st_mode == reference.stat().st_mode  # not mkstemp's 0600

@@ -1,3 +1,4 @@
+import ast
 import json
 import random
 import string
@@ -10,6 +11,7 @@ from steamrec import (
     FieldError,
     Interaction,
     ParseError,
+    Review,
     build_table,
     parse_reviews,
     parse_user_items,
@@ -20,6 +22,8 @@ from steamrec import (
 )
 from steamrec.ingest import (
     IdIndex,
+    _literal_to_json,
+    _loads_tolerant,
     interaction_from_dict,
     interaction_to_dict,
     read_interactions_any,
@@ -247,6 +251,121 @@ def test_mixed_reviews_fixture_parses():
     assert by_key[("u02", 20)].helpful == 3
 
 
+# -- Python-literal decoding: the JSON translation against ast.literal_eval ------
+
+def reference_loads(line, lineno):
+    """The decoder without a translation: strict JSON, else ``ast.literal_eval``."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError:
+        pass
+    try:
+        return ast.literal_eval(line)
+    except (ValueError, SyntaxError, MemoryError, RecursionError):
+        raise ParseError(lineno, "not strict JSON nor a Python literal") from None
+
+
+def decode_outcome(decode, line, lineno):
+    """``repr`` of the decoded value (it tells 1 from 1.0 from True, and -0.0
+    from 0.0), or the ParseError's line number and message."""
+    try:
+        return "value", repr(decode(line, lineno))
+    except ParseError as exc:
+        return "error", exc.line_number, str(exc)
+
+
+# repr() writes these without a backslash, so a record made of them takes the
+# JSON translation; the escaped fragments send a line to literal_eval.
+_PLAIN_FRAGMENTS = [
+    "a", "Z", " ", "'", '"', "True", "False", "None", "null", "true", "NaN",
+    "Infinity", "Café", "Garry's Mod", "日本", "#", ",", ":", "{", "}", "[", "]",
+    "0", "-1.5e3", "u'", "'''",
+]
+_ESCAPED_FRAGMENTS = ["\\", "\\'", "\t", "\n", "\x00"]
+_printable = st.characters(blacklist_categories=("C", "Z")) | st.just(" ")
+
+
+def _records_of(fragments, characters):
+    strings = st.one_of(
+        st.lists(st.sampled_from(fragments), max_size=6).map("".join),
+        st.text(characters, max_size=8),
+    )
+    values = st.recursive(
+        st.one_of(
+            st.none(), st.booleans(), st.integers(),
+            st.floats(allow_nan=False, allow_infinity=False), strings,
+        ),
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.dictionaries(strings, children, max_size=4),
+            st.tuples(children, children),
+        ),
+        max_leaves=12,
+    )
+    return st.dictionaries(strings, values, max_size=5)
+
+
+_records = st.one_of(
+    _records_of([f for f in _PLAIN_FRAGMENTS if '"' not in f], _printable),
+    _records_of(_PLAIN_FRAGMENTS, _printable),
+    _records_of(_PLAIN_FRAGMENTS + _ESCAPED_FRAGMENTS, st.characters()),
+)
+_MUTATIONS = ["'", '"', ",", ":", "]", "}", "\\", " ", "T", "n", "N", "u", "1", "-", "é"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(record=_records, lineno=st.integers(1, 10**6))
+def test_translated_decode_equals_literal_eval(record, lineno):
+    line = repr(record)
+    assert decode_outcome(_loads_tolerant, line, lineno) == (
+        "value", repr(ast.literal_eval(line))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(record=_records, lineno=st.integers(1, 10**6), data=st.data())
+def test_malformed_literal_decodes_or_fails_like_literal_eval(record, lineno, data):
+    line = repr(record)
+    at = data.draw(st.integers(0, len(line)))
+    mutation = data.draw(st.sampled_from(["truncate", "insert", "delete", "replace"]))
+    char = data.draw(st.sampled_from(_MUTATIONS))
+    if mutation == "truncate":
+        line = line[:at]
+    elif mutation == "insert":
+        line = line[:at] + char + line[at:]
+    elif mutation == "delete":
+        line = line[:at] + line[at + 1 :]
+    else:
+        line = line[:at] + char + line[at + 1 :]
+    assert decode_outcome(_loads_tolerant, line, lineno) == decode_outcome(
+        reference_loads, line, lineno
+    )
+
+
+def test_steam_literal_line_takes_the_translation():
+    line = (
+        "{'user_id': 'None True', 'items': [{'item_id': '4000', 'item_name': \"Garry's Mod\", "
+        "'playtime_forever': 12.5, 'playtime_2weeks': None}, {'item_id': '7', "
+        "'item_name': 'Café \"null\"', 'playtime_forever': 0, 'owned': True}]}"
+    )
+    translated = _literal_to_json(line)
+    assert translated is not None
+    assert repr(json.loads(translated)) == repr(ast.literal_eval(line))
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "{'a': null}", "{'a': true}", "[NaN]", "[-Infinity]", "{'a': 1,}", "(1, 2)",
+        "{'a': '''x'''}", "{'a': 'x' 'y'}", "{'a': u'x'}", "{1: 'x'}", "{'a': 'x\\'y'}",
+        "{'a': '\ud800'}", "{'a': 1}\x00", "['x', 'y]", "{'a': \"b}", "[١]", "[1] # c",
+        "{'a': 'x\ty'}", "{'a': -0.0, 'b': 1e999, 'c': True, 'd': None}", "[inf]", "[nan]",
+    ],
+)
+def test_lines_json_would_misread_fall_back_to_literal_eval(line):
+    assert decode_outcome(_loads_tolerant, line, 3) == decode_outcome(reference_loads, line, 3)
+
+
 # -- round-trip through strict JSON -------------------------------------------
 
 def test_interaction_round_trip():
@@ -292,6 +411,47 @@ def test_read_any_sniffs_both_formats(tmp_path):
     write_reviews_jsonl(reviews, rflat)
     assert read_reviews_any(rflat) == reviews
     assert read_reviews_any(DATA_DIR / "mixed_reviews.jsonl") == reviews
+
+
+def _dumps_lines(records, to_dict):
+    return "".join(json.dumps(to_dict(r), allow_nan=False) + "\n" for r in records)
+
+
+def test_jsonl_writers_match_json_dumps_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr("steamrec.ingest._JSONL_CHUNK", 2)  # several chunks
+    interactions = [
+        make_interaction(user="u1", item=4000, name="Garry's Mod", forever=12.5, recent=3.0),
+        make_interaction(user="u2", item=7, name='Café "Racer" \\ 日本', forever=0.0),
+        make_interaction(user="ü\n", item=0, name="", forever=1e300, recent=2.5e-7),
+        make_interaction(user="u3", item=9, name="int forever", forever=6, recent=0.5),
+        make_interaction(user="u5", item=11, name="int recent", forever=1.5, recent=0),
+        make_interaction(user="u4", item=True, name="bool id", forever=1.0),
+    ]
+    path = tmp_path / "interactions.jsonl"
+    write_interactions_jsonl(interactions, path)
+    assert path.read_bytes() == _dumps_lines(interactions, interaction_to_dict).encode()
+
+    reviews = [
+        Review(user_id="u1", item_id=4000, text='Garry\'s "fun"\t ', recommended=True,
+               funny=3, helpful=0, posted="Posted May 1."),
+        Review(user_id="Café", item_id=7, text="", recommended=False),
+        Review(user_id="u2", item_id=8, text="x", recommended=1),
+        Review(user_id="u2", item_id=9, text="x", recommended=True, funny=True),
+        Review(user_id="u2", item_id=10, text="x", recommended=False, helpful=2.5),
+    ]
+    rpath = tmp_path / "reviews.jsonl"
+    write_reviews_jsonl(reviews, rpath)
+    assert rpath.read_bytes() == _dumps_lines(reviews, review_to_dict).encode()
+
+
+def test_jsonl_writer_refuses_non_finite_like_json_dumps(tmp_path):
+    inter = make_interaction(forever=1.0)
+    object.__setattr__(inter, "playtime_2weeks", float("nan"))
+    with pytest.raises(ValueError) as expected:
+        json.dumps(interaction_to_dict(inter), allow_nan=False)
+    with pytest.raises(ValueError) as got:
+        write_interactions_jsonl([inter], tmp_path / "x.jsonl")
+    assert str(got.value) == str(expected.value)
 
 
 # -- IdIndex ------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import re
+import statistics
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,8 @@ from steamrec import (
     read_ratings_csv,
     write_ratings_csv,
 )
-from steamrec.ratings import match_reviews
+from steamrec.ratings import derive_array, match_reviews, read_ratings_array
+from steamrec.sentiment import classify, score
 
 from .conftest import table_from_playtimes
 
@@ -248,4 +252,140 @@ def test_ratings_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
     with pytest.raises(ValueError):
+        read_ratings_csv(path)
+
+
+# -- columnar derive against the scalar rules ----------------------------------------
+
+def scalar_derive(table, reviews, lexicon, strategy):
+    """Oracle: statistics.median per item, playtime_rating, then the adjustment."""
+    by_item = {}
+    for inter in table.interactions:
+        by_item.setdefault(inter.item_id, []).append(inter.playtime_forever)
+    review_of = {(review.user_id, review.item_id): review for review in reviews}
+    rows = []
+    for inter in table.interactions:
+        rating = playtime_rating(inter.playtime_forever, statistics.median(by_item[inter.item_id]))
+        review = review_of.get((inter.user_id, inter.item_id))
+        if strategy is Strategy.PLAYTIME_SENTIMENT:
+            label = classify(score(review.text, lexicon)) if review is not None else None
+            rating = adjust_with_sentiment(rating, label)
+        elif strategy is Strategy.PLAYTIME_RECOMMEND:
+            rating = adjust_with_recommendation(
+                rating, review.recommended if review is not None else None
+            )
+        rows.append(
+            [table.index.user_index(inter.user_id), table.index.item_index(inter.item_id), rating]
+        )
+    return rows
+
+
+def _threshold_table():
+    """Items whose playtimes sit exactly on 0.2/0.5/0.8/1.0 x median, with odd
+    and even counts, zero medians and a repeated (user, item) pair."""
+    def at_thresholds(m):
+        return [0.2 * m, 0.5 * m, 0.8 * m, m]
+
+    playtimes = {
+        1: at_thresholds(100) + [0, 100, 100, 120, 150, 200, 300],  # 11 values, median 100
+        2: at_thresholds(7) + [7, 7, 9],  # median 7: 0.2 * 7 is not 1.4
+        3: at_thresholds(40) + [40, 40, 40, 80],  # 8 values, median (40 + 40) / 2
+        4: [0, 0, 5],  # odd, zero median
+        5: [0, 0, 0, 7],  # even, zero median
+        6: [10, 30],  # even: median 20 from (a + b) / 2
+        7: [3.5],
+        8: [0, 125.7, 891.18, 1000],  # (a + b) / 2 is 508.44, a + (b - a) / 2 is not
+        9: [1e308, 1.5e308, 1.7e308],  # odd: the middle value, not (a + a) / 2 = inf
+    }
+    return table_from_playtimes(
+        {
+            item: [(f"u{j}", minutes) for j, minutes in enumerate(values)]
+            + ([("u0", 15)] if item == 6 else [])
+            for item, values in playtimes.items()
+        }
+    )
+
+
+def _random_reviews(rng, table, count):
+    pairs = [(inter.user_id, inter.item_id) for inter in table.interactions]
+    pairs += [("ghost", 1), ("u0", 999)]  # unmatched
+    texts = ["great", "terrible", "meh", ""]
+    flags = [True, False, None, 1, 0]  # only True and False themselves adjust
+    return [
+        Review(
+            user_id=user,
+            item_id=item,
+            text=texts[int(rng.integers(len(texts)))],
+            recommended=flags[int(rng.integers(len(flags)))],
+        )
+        for user, item in (pairs[int(j)] for j in rng.integers(len(pairs), size=count))
+    ]
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_columnar_derive_matches_scalar_rules(strategy):
+    rng = np.random.default_rng(17)
+    tables = [_threshold_table()]
+    for _ in range(30):
+        tables.append(
+            table_from_playtimes(
+                {
+                    item: [
+                        (f"u{int(u)}", float(rng.choice([0, 0, 1, 2.5, 10, 20, 50, 80, 100])))
+                        for u in rng.integers(0, 9, size=int(rng.integers(1, 9)))
+                    ]
+                    for item in range(int(rng.integers(1, 7)))
+                }
+            )
+        )
+    for table in tables:
+        reviews = _random_reviews(rng, table, int(rng.integers(0, len(table.interactions) + 3)))
+        expected = scalar_derive(table, reviews, POS_LEX, strategy)
+        assert derive_array(table, reviews, POS_LEX, strategy).tolist() == expected
+        assert [
+            [t.user_index, t.item_index, t.rating] for t in derive(table, reviews, POS_LEX, strategy)
+        ] == expected
+
+
+def test_columnar_median_matches_statistics_median():
+    table = _threshold_table()
+    by_item = {}
+    for inter in table.interactions:
+        by_item.setdefault(table.index.item_index(inter.item_id), []).append(
+            inter.playtime_forever
+        )
+    assert median_playtime(table) == {
+        item: float(statistics.median(values)) for item, values in by_item.items()
+    }
+
+
+def test_ratings_array_round_trip(tmp_path):
+    rows = np.array([[0, 1, 5], [12, 0, 1], [3, 40000, 3]], dtype=np.int64)
+    path = tmp_path / "ratings.csv"
+    write_ratings_csv(rows, path)
+    assert path.read_text(encoding="utf-8") == "user_index,item_index,rating\n0,1,5\n12,0,1\n3,40000,3\n"
+    got = read_ratings_array(path)
+    assert got.dtype == np.int64 and got.tolist() == rows.tolist()
+    assert read_ratings_csv(path) == [RatingTriple(*row) for row in rows.tolist()]
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("0,1,5\n1,2,6\n", "line 3: rating 6 outside 1..5"),
+        ("0,1,5\n1,2,0\n", "line 3: rating 0 outside 1..5"),
+        ("0,1,5\n1,x,3\n", "line 3: '1,x,3' is not three integers"),
+        ("0,1,5\n1,2,3.5\n", "line 3: '1,2,3.5' is not three integers"),
+        ("0,1,5\n1,2\n", "line 3: '1,2' is not three integers"),
+        ("0,1,5\n1,2,3,4\n2,2\n", "line 3: '1,2,3,4' is not three integers"),
+        ("0,1,5\n\n", "line 3: '' is not three integers"),
+        ("0,1,5\n1,2,99999999999999999999\n", "line 3: '1,2,99999999999999999999'"),
+    ],
+)
+def test_read_ratings_names_the_bad_line(tmp_path, body, message):
+    path = tmp_path / "ratings.csv"
+    path.write_text("user_index,item_index,rating\n" + body, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_ratings_array(path)
+    with pytest.raises(ValueError, match=re.escape(message)):
         read_ratings_csv(path)
