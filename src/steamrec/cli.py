@@ -13,8 +13,8 @@ import argparse
 import json
 import logging
 import os
+import secrets
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -37,23 +37,15 @@ def _atomic_write(path: Path, writer: Callable[[Path], None]) -> None:
     The temp name is unique per call, so concurrent writes to one directory
     never share it; the temp file is removed when the writer raises.
     """
-    fd, name = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
-    os.close(fd)
-    tmp = Path(name)
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    # O_EXCL claims the name; mode 0666 lets the umask give the mode open() would.
+    os.close(os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666))
     try:
-        # mkstemp creates the file private (0600); give it the mode open() would.
-        os.chmod(tmp, 0o666 & ~_umask())
         writer(tmp)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _umask() -> int:
-    mask = os.umask(0o022)
-    os.umask(mask)
-    return mask
 
 
 def _atomic_write_text(path: Path, text: str) -> None:

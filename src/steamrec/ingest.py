@@ -76,11 +76,8 @@ def _literal_to_json(line: str) -> str | None:
     """
     if "\\" in line or "\0" in line or _SURROGATE_RE.search(line):
         return None
-    if '"' in line:
-        parts = _PY_STRING_RE.split(line)
-        parts[1::2] = [quoted[1:-1].replace('"', '\\"') for quoted in parts[1::2]]
-    else:
-        parts = line.split("'")
+    parts = _PY_STRING_RE.split(line)
+    parts[1::2] = [quoted[1:-1].replace('"', '\\"') for quoted in parts[1::2]]
     # Even parts lie outside strings, odd parts are string bodies.
     code = "\0".join(parts[0::2])
     if _JSON_ONLY_WORD_RE.search(code):

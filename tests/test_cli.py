@@ -281,4 +281,4 @@ def test_atomic_writes_to_one_directory_do_not_collide(tmp_path):
     assert temp_names[0] != "eval.json.tmp"
     reference = tmp_path / "reference"
     reference.write_text("", encoding="utf-8")
-    assert target.stat().st_mode == reference.stat().st_mode  # not mkstemp's 0600
+    assert target.stat().st_mode == reference.stat().st_mode  # the mode open() gives
