@@ -296,7 +296,6 @@ def train(
     num_items: int,
     config: TrainConfig,
     initial: FactorModel | None = None,
-    workers: int = 1,
 ) -> tuple[FactorModel, LossTrace]:
     """Run ``config.iterations`` full sweeps of alternating half-steps.
 
@@ -305,8 +304,6 @@ def train(
         num_users / num_items: matrix dimensions; every index must be in range.
         config: rank, iterations, regularization, seed.
         initial: start from these factors instead of a fresh seeded init.
-        workers: accepted for compatibility; the solver is single-threaded
-            and its results never depend on it.
 
     Returns:
         The trained model and the loss trace with one J value per half-step.

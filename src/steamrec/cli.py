@@ -1,21 +1,23 @@
 """Command-line interface wiring the whole pipeline.
 
 Subcommands: ingest, stats, sentiment, derive, train, evaluate, sweep,
-recommend, pipeline.  The pipeline reads a JSON run configuration; every
-config field is also a flag, and flags override file values.  Artifacts are
-written to a temp name and renamed into place, so a failed run never leaves
-a partial file under a final name.
+recommend, pipeline.  Each stage is one function that its subcommand and
+:func:`run_pipeline` share.  The pipeline reads a JSON run configuration;
+every config field is also a flag, and flags override file values.
+Artifacts are written to a temp name and renamed into place, so a failed run
+never leaves a partial file under a final name.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
 import secrets
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -25,10 +27,6 @@ from . import als, evaluation, ingest, ratings, recommend, sentiment
 from .errors import ConfigError, PipelineError, SteamrecError
 
 logger = logging.getLogger("steamrec")
-
-
-def _default_workers() -> int:
-    return os.cpu_count() or 1
 
 
 def _atomic_write(path: Path, writer: Callable[[Path], None]) -> None:
@@ -62,6 +60,19 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _check_reviews(strategy: ratings.Strategy, reviews_path: str | None) -> None:
+    if strategy is not ratings.Strategy.PLAYTIME_ONLY and not reviews_path:
+        raise ConfigError(f"strategy {strategy.value!r} requires a reviews file")
+
+
+def _typed(value, kind: type, what: str, optional: bool = False):
+    """``value`` when it is a JSON ``kind`` (or null, if ``optional``), else a ConfigError."""
+    if (optional and value is None) or (isinstance(value, kind) and not isinstance(value, bool)):
+        return value
+    expected = {str: "a string", int: "an integer", list: "a list", dict: "an object"}[kind]
+    raise ConfigError(f"{what} must be {expected}{' or null' if optional else ''}, got {value!r}")
+
+
 @dataclass
 class RunConfig:
     """Pipeline run configuration; mirrors the JSON config file."""
@@ -75,7 +86,6 @@ class RunConfig:
     split: evaluation.SplitConfig = field(default_factory=evaluation.SplitConfig)
     k: int = 5
     users: list[str] | None = None
-    workers: int | None = None
 
     def __post_init__(self):
         self.strategy = ratings.Strategy(self.strategy)
@@ -85,38 +95,92 @@ class RunConfig:
             raise ConfigError("output directory must be nonempty")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.strategy is not ratings.Strategy.PLAYTIME_ONLY and not self.reviews_path:
-            raise ConfigError(f"strategy {self.strategy.value!r} requires a reviews file")
+        _check_reviews(self.strategy, self.reviews_path)
 
     @classmethod
     def from_mapping(cls, data: dict) -> "RunConfig":
-        train_cfg = dict(data.get("train", {}))
+        """Build from the config file's JSON value; a value of the wrong type is a ConfigError."""
+        _typed(data, dict, "the run configuration")
+        train_cfg = dict(_typed(data.get("train", {}), dict, "'train'"))
         if "lambda" in train_cfg:
             train_cfg["regularization"] = train_cfg.pop("lambda")
-        split_cfg = dict(data.get("split", {}))
+        split_cfg = _typed(data.get("split", {}), dict, "'split'")
+        for name, section, kind in (("train", train_cfg, als.TrainConfig),
+                                    ("split", split_cfg, evaluation.SplitConfig)):
+            unknown = sorted(set(section) - {f.name for f in fields(kind)})
+            if unknown:
+                raise ConfigError(f"unknown {name!r} keys: {unknown}")
+        users = _typed(data.get("users"), list, "'users'", optional=True)
+        for user in users or ():
+            _typed(user, str, "each of 'users'")
         try:
-            train = als.TrainConfig(rank=train_cfg.pop("rank", 30), **train_cfg)
-            split = evaluation.SplitConfig(**split_cfg)
-            strategy = ratings.Strategy(data.get("strategy", "playtime"))
+            return cls(
+                items_path=_typed(data.get("items", ""), str, "'items'"),
+                out_dir=_typed(data.get("out_dir", ""), str, "'out_dir'"),
+                reviews_path=_typed(data.get("reviews"), str, "'reviews'", optional=True),
+                lexicon_path=_typed(data.get("lexicon"), str, "'lexicon'", optional=True),
+                strategy=ratings.Strategy(data.get("strategy", "playtime")),
+                train=als.TrainConfig(rank=train_cfg.pop("rank", 30), **train_cfg),
+                split=evaluation.SplitConfig(**split_cfg),
+                k=_typed(data.get("k", 5), int, "'k'"),
+                users=users,
+            )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad run configuration: {exc}") from exc
-        return cls(
-            items_path=data.get("items", ""),
-            out_dir=data.get("out_dir", ""),
-            reviews_path=data.get("reviews"),
-            lexicon_path=data.get("lexicon"),
-            strategy=strategy,
-            train=train,
-            split=split,
-            k=data.get("k", 5),
-            users=data.get("users"),
-            workers=data.get("workers"),
-        )
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_mapping(json.load(handle))
+
+# -- stages: each is called by its subcommand and by run_pipeline -------------
+def _ingest(items_path: str, reviews_path: str | None, out_dir: Path):
+    """Parse the raw dumps; write interactions.jsonl (and reviews.jsonl) into ``out_dir``."""
+    with open(items_path, "r", encoding="utf-8") as handle:
+        interactions = ingest.parse_user_items(handle)
+    reviews = ingest.read_reviews_any(reviews_path) if reviews_path else []
+    _atomic_write(out_dir / "interactions.jsonl",
+                  lambda tmp: ingest.write_interactions_jsonl(interactions, tmp))
+    if reviews_path:
+        _atomic_write(out_dir / "reviews.jsonl",
+                      lambda tmp: ingest.write_reviews_jsonl(reviews, tmp))
+    return interactions, reviews
+
+
+def _derive(table, reviews, lexicon_path: str | None, strategy, out: Path) -> np.ndarray:
+    """Derive the (N, 3) rating rows and write them to ``out`` as ratings.csv."""
+    rows = ratings.derive_array(table, reviews, _load_lexicon(lexicon_path), strategy)
+    _atomic_write(out, lambda tmp: ratings.write_ratings_csv(rows, tmp))
+    return rows
+
+
+def _train(rows, num_users: int, num_items: int, config: als.TrainConfig, out: Path):
+    """Train on ``rows`` and save the model to ``out``; returns the model and loss trace."""
+    model, trace = als.train(rows, num_users, num_items, config)
+    _atomic_write(out, lambda tmp: als.save_model(model, tmp))
+    return model, trace
+
+
+def _evaluate(rows, num_users: int, num_items: int, train_config, split_config, strategy: str):
+    """The held-out RMSE report and its JSON text."""
+    report = evaluation.evaluate(rows, num_users, num_items, train_config, split_config, strategy)
+    return report, _json_dumps(report.to_dict())
+
+
+def _recommend(model, table, users: Sequence[str], k: int, exclude_seen: bool = True) -> str:
+    """Top-``k`` recommendations for each user id, as JSON text."""
+    results = recommend.batch_recommend(model, table, users, k, exclude_seen=exclude_seen)
+    return _json_dumps([r.to_dict() for r in results])
+
+
+_ARTIFACTS = {"interactions": "interactions.jsonl", "reviews": "reviews.jsonl",
+              "ratings": "ratings.csv", "model": "model.bin", "eval": "eval.json",
+              "recommendations": "recommendations.json"}
+
+
+@contextlib.contextmanager
+def _stage(name: str):
+    """Re-raise a failure inside the block as a :class:`PipelineError` naming ``name``."""
+    try:
+        yield
+    except Exception as exc:
+        raise PipelineError(name, exc) from exc
 
 
 def run_pipeline(config: RunConfig) -> dict[str, Path]:
@@ -129,105 +193,36 @@ def run_pipeline(config: RunConfig) -> dict[str, Path]:
     """
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = config.workers if config.workers is not None else _default_workers()
-    artifacts: dict[str, Path] = {}
+    artifacts = {name: out_dir / file_name for name, file_name in _ARTIFACTS.items()
+                 if name != "reviews" or config.reviews_path}
 
-    def stage(name: str, fn: Callable):
-        try:
-            return fn()
-        except PipelineError:
-            raise
-        except Exception as exc:
-            raise PipelineError(name, exc) from exc
-
-    def do_ingest():
-        with open(config.items_path, "r", encoding="utf-8") as handle:
-            interactions = ingest.parse_user_items(handle)
-        reviews: list[ingest.Review] = []
-        if config.reviews_path:
-            reviews = ingest.read_reviews_any(config.reviews_path)
-        path = out_dir / "interactions.jsonl"
-        _atomic_write(path, lambda tmp: ingest.write_interactions_jsonl(interactions, tmp))
-        artifacts["interactions"] = path
-        if config.reviews_path:
-            rpath = out_dir / "reviews.jsonl"
-            _atomic_write(rpath, lambda tmp: ingest.write_reviews_jsonl(reviews, tmp))
-            artifacts["reviews"] = rpath
+    with _stage("ingest"):
+        interactions, reviews = _ingest(config.items_path, config.reviews_path, out_dir)
         logger.info("ingested %d interactions, %d reviews", len(interactions), len(reviews))
-        return interactions, reviews
-
-    interactions, reviews = stage("ingest", do_ingest)
-    table = stage("ingest", lambda: ingest.build_table(interactions))
-
-    def do_derive():
-        lexicon = _load_lexicon(config.lexicon_path)
-        rows = ratings.derive_array(table, reviews, lexicon, config.strategy)
-        path = out_dir / "ratings.csv"
-        _atomic_write(path, lambda tmp: ratings.write_ratings_csv(rows, tmp))
-        artifacts["ratings"] = path
+        table = ingest.build_table(interactions)
+    with _stage("derive"):
+        rows = _derive(table, reviews, config.lexicon_path, config.strategy, artifacts["ratings"])
         logger.info("derived %d ratings with strategy %s", len(rows), config.strategy.value)
-        return rows
-
-    rows = stage("derive", do_derive)
-
-    def do_train():
-        model, _ = als.train(
-            rows, table.num_users, table.num_items, config.train, workers=workers
-        )
-        path = out_dir / "model.bin"
-        _atomic_write(path, lambda tmp: als.save_model(model, tmp))
-        artifacts["model"] = path
-        return model
-
-    model = stage("train", do_train)
-
-    def do_evaluate():
-        report = evaluation.evaluate(
-            rows,
-            table.num_users,
-            table.num_items,
-            config.train,
-            config.split,
-            strategy=config.strategy.value,
-            workers=workers,
-        )
-        path = out_dir / "eval.json"
-        _atomic_write_text(path, _json_dumps(report.to_dict()))
-        artifacts["eval"] = path
+    with _stage("train"):
+        model, _ = _train(rows, table.num_users, table.num_items, config.train, artifacts["model"])
+    with _stage("evaluate"):
+        report, text = _evaluate(rows, table.num_users, table.num_items, config.train,
+                                 config.split, config.strategy.value)
+        _atomic_write_text(artifacts["eval"], text)
         logger.info("held-out rmse %.4f (%d evaluated, %d dropped)",
                     report.rmse, report.evaluated, report.dropped)
-        return report
-
-    stage("evaluate", do_evaluate)
-
-    def do_recommend():
-        users = config.users
-        if users is None:
-            users = table.index.user_ids[: min(2, table.num_users)]
-        results = recommend.batch_recommend(model, table, users, config.k)
-        path = out_dir / "recommendations.json"
-        _atomic_write_text(path, _json_dumps([r.to_dict() for r in results]))
-        artifacts["recommendations"] = path
-
-    stage("recommend", do_recommend)
+    with _stage("recommend"):
+        users = config.users if config.users is not None else table.index.user_ids[:2]
+        _atomic_write_text(artifacts["recommendations"], _recommend(model, table, users, config.k))
     return artifacts
 
 
 def cmd_ingest(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(args.items, "r", encoding="utf-8") as handle:
-        interactions = ingest.parse_user_items(handle)
-    _atomic_write(
-        out_dir / "interactions.jsonl",
-        lambda tmp: ingest.write_interactions_jsonl(interactions, tmp),
-    )
+    interactions, reviews = _ingest(args.items, args.reviews, out_dir)
     print(f"wrote {len(interactions)} interactions to {out_dir / 'interactions.jsonl'}")
     if args.reviews:
-        reviews = ingest.read_reviews_any(args.reviews)
-        _atomic_write(
-            out_dir / "reviews.jsonl", lambda tmp: ingest.write_reviews_jsonl(reviews, tmp)
-        )
         print(f"wrote {len(reviews)} reviews to {out_dir / 'reviews.jsonl'}")
     return 0
 
@@ -242,17 +237,13 @@ def cmd_stats(args) -> int:
 
 def cmd_sentiment_score(args) -> int:
     result = sentiment.analyze(args.text, _load_lexicon(args.lexicon))
-    sys.stdout.write(
-        _json_dumps({"compound": result.compound, "class": result.label.value})
-    )
+    sys.stdout.write(_json_dumps({"compound": result.compound, "class": result.label.value}))
     return 0
 
 
 def cmd_sentiment_report(args) -> int:
     reviews = ingest.read_reviews_any(args.reviews)
-    counts = sentiment.class_counts(
-        (review.text for review in reviews), _load_lexicon(args.lexicon)
-    )
+    counts = sentiment.class_counts((r.text for r in reviews), _load_lexicon(args.lexicon))
     print("class     count")
     print(f"Positive  {counts.positive}")
     print(f"Neutral   {counts.neutral}")
@@ -262,13 +253,10 @@ def cmd_sentiment_report(args) -> int:
 
 
 def cmd_derive(args) -> int:
+    _check_reviews(ratings.Strategy(args.strategy), args.reviews)
     table = ingest.build_table(ingest.read_interactions_any(args.interactions))
-    strategy = ratings.Strategy(args.strategy)
     reviews = ingest.read_reviews_any(args.reviews) if args.reviews else []
-    if strategy is not ratings.Strategy.PLAYTIME_ONLY and not args.reviews:
-        raise ConfigError(f"strategy {strategy.value!r} requires --reviews")
-    rows = ratings.derive_array(table, reviews, _load_lexicon(args.lexicon), strategy)
-    _atomic_write(Path(args.out), lambda tmp: ratings.write_ratings_csv(rows, tmp))
+    rows = _derive(table, reviews, args.lexicon, args.strategy, Path(args.out))
     print(f"wrote {len(rows)} ratings to {args.out}")
     return 0
 
@@ -282,60 +270,35 @@ def _read_ratings(path: str) -> tuple[np.ndarray, int, int]:
     return rows, num_users, num_items
 
 
+def _train_config(args, rank: int) -> als.TrainConfig:
+    return als.TrainConfig(rank=rank, iterations=args.iters,
+                           regularization=args.regularization, seed=args.seed)
+
+
 def cmd_train(args) -> int:
     rows, num_users, num_items = _read_ratings(args.ratings)
-    config = als.TrainConfig(
-        rank=args.rank,
-        iterations=args.iters,
-        regularization=args.regularization,
-        seed=args.seed,
-    )
-    model, trace = als.train(
-        rows, num_users, num_items, config, workers=args.workers or _default_workers()
-    )
-    _atomic_write(Path(args.out), lambda tmp: als.save_model(model, tmp))
-    print(
-        f"trained rank-{config.rank} model on {len(rows)} ratings "
-        f"(final objective {trace.values[-1]:.4f}); wrote {args.out}"
-    )
+    _, trace = _train(rows, num_users, num_items, _train_config(args, args.rank), Path(args.out))
+    print(f"trained rank-{args.rank} model on {len(rows)} ratings "
+          f"(final objective {trace.values[-1]:.4f}); wrote {args.out}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
     rows, num_users, num_items = _read_ratings(args.ratings)
-    report = evaluation.evaluate(
-        rows,
-        num_users,
-        num_items,
-        als.TrainConfig(
-            rank=args.rank,
-            iterations=args.iters,
-            regularization=args.regularization,
-            seed=args.seed,
-        ),
-        evaluation.SplitConfig(fraction=args.split, seed=args.split_seed),
-        strategy=args.strategy,
-        workers=args.workers or _default_workers(),
-    )
-    sys.stdout.write(_json_dumps(report.to_dict()))
+    split = evaluation.SplitConfig(fraction=args.split, seed=args.split_seed)
+    train_config = _train_config(args, args.rank)
+    _, text = _evaluate(rows, num_users, num_items, train_config, split, args.strategy)
+    sys.stdout.write(text)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    rows, _, _ = _read_ratings(args.ratings)
     ranks = [int(r) for r in args.ranks.split(",") if r.strip()]
-    reports = evaluation.sweep(
-        rows,
-        ranks,
-        als.TrainConfig(
-            rank=ranks[0],
-            iterations=args.iters,
-            regularization=args.regularization,
-            seed=args.seed,
-        ),
-        evaluation.SplitConfig(fraction=args.split, seed=args.split_seed),
-        workers=args.workers or _default_workers(),
-    )
+    if not ranks:
+        raise ConfigError(f"--ranks {args.ranks!r} names no rank")
+    rows, _, _ = _read_ratings(args.ratings)
+    split = evaluation.SplitConfig(fraction=args.split, seed=args.split_seed)
+    reports = evaluation.sweep(rows, ranks, _train_config(args, ranks[0]), split)
     sys.stdout.write(evaluation.sweep_csv(reports))
     return 0
 
@@ -343,47 +306,31 @@ def cmd_sweep(args) -> int:
 def cmd_recommend(args) -> int:
     model = als.load_model(args.model)
     table = ingest.build_table(ingest.read_interactions_any(args.interactions))
-    users = [u for u in args.users.split(",") if u]
-    results = recommend.batch_recommend(
-        model, table, users, args.k, exclude_seen=not args.include_seen
-    )
-    sys.stdout.write(_json_dumps([r.to_dict() for r in results]))
+    sys.stdout.write(_recommend(model, table, args.users, args.k, not args.include_seen))
     return 0
+
+
+# pipeline flag -> config key, "section.key" for a key inside a section.  --lambda
+# sets "lambda", which from_mapping prefers over "regularization", so the flag wins.
+_PIPELINE_FLAGS = {
+    "items": "items", "reviews": "reviews", "lexicon": "lexicon", "out_dir": "out_dir",
+    "strategy": "strategy", "k": "k", "users": "users", "rank": "train.rank",
+    "iters": "train.iterations", "regularization": "train.lambda", "seed": "train.seed",
+    "split": "split.fraction", "split_seed": "split.seed",
+}
 
 
 def cmd_pipeline(args) -> int:
     data = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    overrides = {
-        "items": args.items,
-        "reviews": args.reviews,
-        "lexicon": args.lexicon,
-        "out_dir": args.out_dir,
-        "strategy": args.strategy,
-        "k": args.k,
-        "workers": args.workers,
-    }
-    data.update({key: value for key, value in overrides.items() if value is not None})
-    if args.users is not None:
-        data["users"] = [u for u in args.users.split(",") if u]
-    train_cfg = dict(data.get("train", {}))
-    for key, value in (
-        ("rank", args.rank),
-        ("iterations", args.iters),
-        ("regularization", args.regularization),
-        ("seed", args.seed),
-    ):
+            data = _typed(json.load(handle), dict, "the run configuration")
+    for flag, path in _PIPELINE_FLAGS.items():
+        value = getattr(args, flag)
         if value is not None:
-            train_cfg[key] = value
-    data["train"] = train_cfg
-    split_cfg = dict(data.get("split", {}))
-    if args.split is not None:
-        split_cfg["fraction"] = args.split
-    if args.split_seed is not None:
-        split_cfg["seed"] = args.split_seed
-    data["split"] = split_cfg
+            section, _, key = path.rpartition(".")
+            target = _typed(data.setdefault(section, {}), dict, repr(section)) if section else data
+            target[key] = value
 
     artifacts = run_pipeline(RunConfig.from_mapping(data))
     for name, path in artifacts.items():
@@ -391,23 +338,20 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
+def _comma_list(text: str) -> list[str]:
+    return [part for part in text.split(",") if part]
+
+
 def _add_workers(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="accepted for compatibility; the ALS solver is batched and single-threaded, "
-        "so this changes neither results nor speed",
-    )
+    parser.add_argument("--workers", type=int, help="accepted for compatibility; the ALS solver is "
+                        "batched and single-threaded, so this changes neither results nor speed")
 
 
 def _add_train_flags(parser: argparse.ArgumentParser, with_defaults: bool) -> None:
     default = (lambda v: v) if with_defaults else (lambda v: None)
     parser.add_argument("--rank", type=int, default=default(30))
     parser.add_argument("--iters", type=int, default=default(10))
-    parser.add_argument(
-        "--lambda", dest="regularization", type=float, default=default(0.1)
-    )
+    parser.add_argument("--lambda", dest="regularization", type=float, default=default(0.1))
     parser.add_argument("--seed", type=int, default=default(42))
 
 
@@ -451,11 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interactions", required=True)
     p.add_argument("--reviews")
     p.add_argument("--lexicon")
-    p.add_argument(
-        "--strategy",
-        choices=[s.value for s in ratings.Strategy],
-        default="playtime",
-    )
+    p.add_argument("--strategy", choices=[s.value for s in ratings.Strategy], default="playtime")
     p.add_argument("--out", default="ratings.csv")
     p.set_defaults(func=cmd_derive)
 
@@ -487,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recommend", help="top-K items per user")
     p.add_argument("--model", required=True)
     p.add_argument("--interactions", required=True)
-    p.add_argument("--users", required=True, help="comma-separated raw user ids")
+    p.add_argument("--users", type=_comma_list, required=True,
+                   help="comma-separated raw user ids")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--include-seen", action="store_true")
     p.set_defaults(func=cmd_recommend)
@@ -502,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p, with_defaults=False)
     _add_split_flags(p, with_defaults=False)
     p.add_argument("--k", type=int)
-    p.add_argument("--users", help="comma-separated raw user ids to recommend for")
+    p.add_argument("--users", type=_comma_list,
+                   help="comma-separated raw user ids to recommend for")
     _add_workers(p)
     p.set_defaults(func=cmd_pipeline)
 

@@ -5,10 +5,11 @@ class SteamrecError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ParseError(SteamrecError):
+class ParseError(SteamrecError, ValueError):
     """A raw input line could not be parsed at all.
 
-    Carries the 1-based line number of the offending line.
+    Carries the 1-based line number of the offending line.  It is also a
+    ``ValueError``, since what it reports is a bad input value.
     """
 
     def __init__(self, line_number: int, message: str):

@@ -106,11 +106,10 @@ def evaluate(
     train_config: TrainConfig,
     split_config: SplitConfig,
     strategy: str = "",
-    workers: int = 1,
 ) -> EvalReport:
     """Split, train on the train side, and report held-out RMSE."""
     train_part, test_part = split(_as_array(ratings), split_config)
-    model, _ = train(train_part, num_users, num_items, train_config, workers=workers)
+    model, _ = train(train_part, num_users, num_items, train_config)
     return rmse(model, test_part, train_part, strategy=strategy)
 
 
@@ -120,7 +119,6 @@ def sweep(
     train_config: TrainConfig,
     split_config: SplitConfig,
     strategy: str = "",
-    workers: int = 1,
 ) -> list[EvalReport]:
     """One evaluation per rank, reusing the same split for every rank."""
     if not ranks:
@@ -132,7 +130,7 @@ def sweep(
     reports = []
     for rank in ranks:
         config = dataclasses.replace(train_config, rank=rank)
-        model, _ = train(train_part, num_users, num_items, config, workers=workers)
+        model, _ = train(train_part, num_users, num_items, config)
         reports.append(rmse(model, test_part, train_part, strategy=strategy))
     return reports
 

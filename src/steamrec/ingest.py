@@ -456,13 +456,30 @@ def write_interactions_jsonl(interactions: Iterable[Interaction], path: str | Pa
     _write_jsonl(map(_interaction_line, interactions), path)
 
 
-def read_interactions_jsonl(path: str | Path) -> list[Interaction]:
+def _read_flat_jsonl(path: str | Path, from_dict) -> list:
+    """``from_dict`` of each non-empty line; a bad line raises ParseError/FieldError naming it."""
+    records = []
     with open(path, "r", encoding="utf-8") as handle:
-        return [
-            interaction_from_dict(json.loads(line))
-            for line in handle
-            if line.strip()
-        ]
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except (ValueError, RecursionError):
+                raise ParseError(lineno, "not a JSON value") from None
+            if not isinstance(record, dict):
+                raise ParseError(lineno, "record is not an object")
+            try:
+                records.append(from_dict(record))
+            except KeyError as exc:
+                raise FieldError(lineno, f"missing required field {exc.args[0]!r}") from None
+            except (TypeError, ValueError) as exc:
+                raise FieldError(lineno, str(exc)) from None
+    return records
+
+
+def read_interactions_jsonl(path: str | Path) -> list[Interaction]:
+    return _read_flat_jsonl(path, interaction_from_dict)
 
 
 def write_reviews_jsonl(reviews: Iterable[Review], path: str | Path) -> None:
@@ -470,14 +487,15 @@ def write_reviews_jsonl(reviews: Iterable[Review], path: str | Path) -> None:
 
 
 def read_reviews_jsonl(path: str | Path) -> list[Review]:
+    return _read_flat_jsonl(path, review_from_dict)
+
+
+def _sniff_key(path: str | Path, key: str) -> bool:
+    """Whether the first non-empty line of ``path`` is a record holding ``key``."""
     with open(path, "r", encoding="utf-8") as handle:
-        return [review_from_dict(json.loads(line)) for line in handle if line.strip()]
-
-
-def _sniff_key(lines: list[str], key: str) -> bool:
-    for lineno, line in _numbered_lines(lines):
-        record = _loads_tolerant(line, lineno)
-        return isinstance(record, dict) and key in record
+        for lineno, line in _numbered_lines(handle):
+            record = _loads_tolerant(line, lineno)
+            return isinstance(record, dict) and key in record
     return False
 
 
@@ -488,17 +506,15 @@ def read_reviews_any(path: str | Path) -> list[Review]:
     go through the tolerant nested reader, flat records through the strict
     one.
     """
+    if not _sniff_key(path, "reviews"):
+        return read_reviews_jsonl(path)
     with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.readlines()
-    if _sniff_key(lines, "reviews"):
-        return parse_reviews(lines)
-    return [review_from_dict(json.loads(line)) for line in lines if line.strip()]
+        return parse_reviews(handle)
 
 
 def read_interactions_any(path: str | Path) -> list[Interaction]:
     """Read interactions from a raw user-items dump or a flat interactions.jsonl."""
+    if not _sniff_key(path, "items"):
+        return read_interactions_jsonl(path)
     with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.readlines()
-    if _sniff_key(lines, "items"):
-        return parse_user_items(lines)
-    return [interaction_from_dict(json.loads(line)) for line in lines if line.strip()]
+        return parse_user_items(handle)

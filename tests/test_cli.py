@@ -2,9 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import steamrec
 from steamrec import cli
@@ -282,3 +285,187 @@ def test_atomic_writes_to_one_directory_do_not_collide(tmp_path):
     reference = tmp_path / "reference"
     reference.write_text("", encoding="utf-8")
     assert target.stat().st_mode == reference.stat().st_mode  # the mode open() gives
+
+
+def test_sweep_with_no_ranks_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "ratings.csv"
+    path.write_text("user_index,item_index,rating\n0,0,5\n1,0,4\n", encoding="utf-8")
+    code = main(["sweep", "--ratings", str(path), "--ranks", ","])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "steamrec: error: --ranks ',' names no rank\n"
+
+
+_VALID_CONFIG = {"items": "items.jsonl", "out_dir": "out"}
+
+
+@pytest.mark.parametrize(
+    "config, flags, message",
+    [
+        ([1], [], "the run configuration must be an object"),
+        ({**_VALID_CONFIG, "train": 5}, [], "'train' must be an object"),
+        ({**_VALID_CONFIG, "train": 5}, ["--rank", "3"], "'train' must be an object"),
+        ({**_VALID_CONFIG, "split": [0.8]}, [], "'split' must be an object"),
+        ({**_VALID_CONFIG, "split": {"fractoin": 0.5}}, [], "unknown 'split' keys"),
+        ({**_VALID_CONFIG, "k": "5"}, [], "'k' must be an integer"),
+        ({**_VALID_CONFIG, "k": True}, [], "'k' must be an integer"),
+        ({**_VALID_CONFIG, "users": "player01"}, [], "'users' must be a list or null"),
+        ({**_VALID_CONFIG, "users": ["player01", 2]}, [], "each of 'users' must be a string"),
+        ({**_VALID_CONFIG, "items": 1}, [], "'items' must be a string"),
+    ],
+)
+def test_run_config_rejects_values_of_the_wrong_type(tmp_path, capsys, config, flags, message):
+    with pytest.raises(ConfigError, match=message):
+        RunConfig.from_mapping(config)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = main(["pipeline", "--config", str(path), *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
+def test_run_config_ignores_workers_and_lambda_flag_beats_file(tmp_path):
+    config = RunConfig.from_mapping({**_VALID_CONFIG, "workers": 8})
+    assert not hasattr(config, "workers")
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "items": str(DATA_DIR / "pipeline_items.jsonl"),
+        "out_dir": str(tmp_path / "out"),
+        "train": {"rank": 2, "iterations": 2, "lambda": 0.5},
+    }), encoding="utf-8")
+    assert main(["pipeline", "--config", str(path), "--lambda", "0.25", "--workers", "3"]) == 0
+    report = json.loads((tmp_path / "out" / "eval.json").read_text(encoding="utf-8"))
+    assert report["regularization"] == 0.25
+
+
+_FLAT_INTERACTION = (
+    '{"user_id": "u1", "item_id": 10, "item_name": "x", '
+    '"playtime_forever": 5.0, "playtime_2weeks": 0.0}'
+)
+_FLAT_REVIEW = (
+    '{"user_id": "u1", "item_id": 10, "text": "fun", "recommended": true, '
+    '"funny": 0, "helpful": 0, "posted": ""}'
+)
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        ('{"foo": 1}', "line 3: missing required field"),
+        ("[1, 2]", "line 3: record is not an object"),
+        ("{not json", "line 3: not a JSON value"),
+    ],
+)
+@pytest.mark.parametrize("command", ["stats", "recommend", "sentiment report"])
+def test_bad_flat_jsonl_line_is_one_line_error_naming_the_line(
+    tmp_path, capsys, command, bad_line, message
+):
+    good = _FLAT_REVIEW if command == "sentiment report" else _FLAT_INTERACTION
+    path = tmp_path / "flat.jsonl"
+    path.write_text(f"{good}\n\n{bad_line}\n{good}\n", encoding="utf-8")
+    if command == "stats":
+        argv = ["stats", "--items", str(path)]
+    elif command == "recommend":
+        ratings_csv = tmp_path / "ratings.csv"
+        ratings_csv.write_text("user_index,item_index,rating\n0,0,5\n", encoding="utf-8")
+        model = tmp_path / "model.bin"
+        assert main(["train", "--ratings", str(ratings_csv), "--rank", "1", "--iters", "1",
+                     "--out", str(model)]) == 0
+        argv = ["recommend", "--model", str(model), "--interactions", str(path), "--users", "u1"]
+    else:
+        argv = ["sentiment", "report", "--reviews", str(path)]
+    capsys.readouterr()
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
+def test_subcommand_chain_reproduces_pipeline_artifacts(tmp_path, capsys):
+    assert main(_pipeline_args(tmp_path, "pipe")) == 0
+    pipe = tmp_path / "pipe"
+    work = tmp_path / "work"
+    ratings_csv, model = str(work / "ratings.csv"), str(work / "model.bin")
+    train_flags = ["--rank", "4", "--iters", "4", "--seed", "42"]
+    assert main(["ingest", "--items", str(DATA_DIR / "pipeline_items.jsonl"),
+                 "--reviews", str(DATA_DIR / "pipeline_reviews.jsonl"),
+                 "--out-dir", str(work)]) == 0
+    assert main(["derive", "--interactions", str(work / "interactions.jsonl"),
+                 "--reviews", str(work / "reviews.jsonl"), "--strategy", "sentiment",
+                 "--out", ratings_csv]) == 0
+    assert main(["train", "--ratings", ratings_csv, *train_flags, "--out", model]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--ratings", ratings_csv, *train_flags,
+                 "--strategy", "sentiment"]) == 0
+    (work / "eval.json").write_text(capsys.readouterr().out, encoding="utf-8")
+    # the pipeline recommends for the first two users when none are named
+    assert main(["recommend", "--model", model, "--interactions", str(work / "interactions.jsonl"),
+                 "--users", "player01,player02", "--k", "5"]) == 0
+    (work / "recommendations.json").write_text(capsys.readouterr().out, encoding="utf-8")
+    names = ["interactions.jsonl", "reviews.jsonl", "ratings.csv", "model.bin", "eval.json",
+             "recommendations.json"]
+    assert sorted(p.name for p in pipe.iterdir()) == sorted(names)
+    for name in names:
+        assert (work / name).read_bytes() == (pipe / name).read_bytes(), name
+
+
+# JSON values for a run configuration.  Integers stay small because rank,
+# iterations and k set the run time, not whether main raises; paths are kept
+# inside the working directory by leaving "/", "\\" and "." out of strings.
+_TEXT = st.text(st.characters(blacklist_characters="/\\."), max_size=6)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 30) | st.floats() | _TEXT,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(_TEXT, children, max_size=3),
+    max_leaves=6,
+)
+_BASE_CONFIG = {
+    "items": str((DATA_DIR / "pipeline_items.jsonl").resolve()),
+    "reviews": str((DATA_DIR / "pipeline_reviews.jsonl").resolve()),
+    "lexicon": None,
+    "out_dir": "out",
+    "strategy": "sentiment",
+    "train": {"rank": 2, "iterations": 2, "lambda": 0.1, "seed": 1},
+    "split": {"fraction": 0.8, "seed": 42},
+    "k": 3,
+    "users": ["player01", "nobody"],
+    "workers": 1,
+}
+
+
+def _vary(draw, mapping):
+    """Keep, drop or replace each key of ``mapping`` with any JSON value, recursively."""
+    varied = {}
+    for key, value in mapping.items():
+        how = draw(st.sampled_from(["keep", "drop", "any"]))
+        if how == "keep":
+            varied[key] = _vary(draw, value) if isinstance(value, dict) else value
+        elif how == "any":
+            varied[key] = draw(_JSON)
+    return varied
+
+
+@st.composite
+def _run_configs(draw):
+    return draw(_JSON) if draw(st.integers(0, 9)) == 0 else _vary(draw, _BASE_CONFIG)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=_run_configs())
+def test_any_json_config_exits_0_or_1_with_one_error_line(capsys, config):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            Path("run.json").write_text(json.dumps(config), encoding="utf-8")
+            capsys.readouterr()
+            code = main(["pipeline", "--config", "run.json"])
+            captured = capsys.readouterr()
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1)
+    if code == 1:
+        assert captured.err.count("\n") == 1 and captured.err.startswith("steamrec: ")
