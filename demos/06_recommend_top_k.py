@@ -33,7 +33,7 @@ for entry in batch_recommend(model, table, ["player0", "player5", "stranger"], k
     for rec in entry.items:
         print(f"  {rec.position}. {rec.item_name:<15} (id {rec.item_id}, score {rec.score:.3f})")
 
-owned = {rec for rec, _ in table.by_user[0]}
+owned = set(table.seen_items(0).tolist())
 listed = {rec.item_index for rec in top_k(model, table, 0, k=10)}
 assert not owned & listed
 print(f"\nplayer0 owns {len(owned)} games; none of them appear in the list")

@@ -17,14 +17,14 @@ import logging
 import os
 import secrets
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
 from . import als, evaluation, ingest, ratings, recommend, sentiment
-from .errors import ConfigError, PipelineError, SteamrecError
+from .errors import ConfigError, PipelineError, SteamrecError, check_type
 
 logger = logging.getLogger("steamrec")
 
@@ -65,14 +65,6 @@ def _check_reviews(strategy: ratings.Strategy, reviews_path: str | None) -> None
         raise ConfigError(f"strategy {strategy.value!r} requires a reviews file")
 
 
-def _typed(value, kind: type, what: str, optional: bool = False):
-    """``value`` when it is a JSON ``kind`` (or null, if ``optional``), else a ConfigError."""
-    if (optional and value is None) or (isinstance(value, kind) and not isinstance(value, bool)):
-        return value
-    expected = {str: "a string", int: "an integer", list: "a list", dict: "an object"}[kind]
-    raise ConfigError(f"{what} must be {expected}{' or null' if optional else ''}, got {value!r}")
-
-
 @dataclass
 class RunConfig:
     """Pipeline run configuration; mirrors the JSON config file."""
@@ -100,29 +92,32 @@ class RunConfig:
     @classmethod
     def from_mapping(cls, data: dict) -> "RunConfig":
         """Build from the config file's JSON value; a value of the wrong type is a ConfigError."""
-        _typed(data, dict, "the run configuration")
-        train_cfg = dict(_typed(data.get("train", {}), dict, "'train'"))
+        check_type(data, dict, "the run configuration")
+        train_cfg = dict(check_type(data.get("train", {}), dict, "'train'"))
         if "lambda" in train_cfg:
             train_cfg["regularization"] = train_cfg.pop("lambda")
-        split_cfg = _typed(data.get("split", {}), dict, "'split'")
+        split_cfg = check_type(data.get("split", {}), dict, "'split'")
         for name, section, kind in (("train", train_cfg, als.TrainConfig),
                                     ("split", split_cfg, evaluation.SplitConfig)):
-            unknown = sorted(set(section) - {f.name for f in fields(kind)})
+            types = get_type_hints(kind)
+            unknown = sorted(set(section) - set(types))
             if unknown:
                 raise ConfigError(f"unknown {name!r} keys: {unknown}")
-        users = _typed(data.get("users"), list, "'users'", optional=True)
+            for key, value in section.items():
+                check_type(value, types[key], f"'{name}.{key}'")
+        users = check_type(data.get("users"), list, "'users'", optional=True)
         for user in users or ():
-            _typed(user, str, "each of 'users'")
+            check_type(user, str, "each of 'users'")
         try:
             return cls(
-                items_path=_typed(data.get("items", ""), str, "'items'"),
-                out_dir=_typed(data.get("out_dir", ""), str, "'out_dir'"),
-                reviews_path=_typed(data.get("reviews"), str, "'reviews'", optional=True),
-                lexicon_path=_typed(data.get("lexicon"), str, "'lexicon'", optional=True),
+                items_path=check_type(data.get("items", ""), str, "'items'"),
+                out_dir=check_type(data.get("out_dir", ""), str, "'out_dir'"),
+                reviews_path=check_type(data.get("reviews"), str, "'reviews'", optional=True),
+                lexicon_path=check_type(data.get("lexicon"), str, "'lexicon'", optional=True),
                 strategy=ratings.Strategy(data.get("strategy", "playtime")),
                 train=als.TrainConfig(rank=train_cfg.pop("rank", 30), **train_cfg),
                 split=evaluation.SplitConfig(**split_cfg),
-                k=_typed(data.get("k", 5), int, "'k'"),
+                k=check_type(data.get("k", 5), int, "'k'"),
                 users=users,
             )
         except (TypeError, ValueError) as exc:
@@ -324,12 +319,12 @@ def cmd_pipeline(args) -> int:
     data = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
-            data = _typed(json.load(handle), dict, "the run configuration")
+            data = check_type(json.load(handle), dict, "the run configuration")
     for flag, path in _PIPELINE_FLAGS.items():
         value = getattr(args, flag)
         if value is not None:
             section, _, key = path.rpartition(".")
-            target = _typed(data.setdefault(section, {}), dict, repr(section)) if section else data
+            target = check_type(data.setdefault(section, {}), dict, repr(section)) if section else data
             target[key] = value
 
     artifacts = run_pipeline(RunConfig.from_mapping(data))

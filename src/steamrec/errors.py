@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type check that raises them."""
 
 
 class SteamrecError(Exception):
@@ -40,3 +40,22 @@ class PipelineError(SteamrecError):
         self.stage = stage
         self.cause = cause
         super().__init__(f"stage '{stage}' failed: {cause}")
+
+
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "a boolean",
+               list: "a list", dict: "an object"}
+
+
+def check_type(value, kind: type, what: str, error: type[Exception] = ConfigError,
+               optional: bool = False):
+    """``value`` when it is a JSON ``kind`` (or null, if ``optional``), else ``error``.
+
+    A bool passes only as a ``bool``, and an integer also passes as a ``float``.
+    """
+    if (optional and value is None) or (
+        isinstance(value, (int, float) if kind is float else kind)
+        and (kind is bool) == isinstance(value, bool)
+    ):
+        return value
+    expected = f"{_KIND_NAMES[kind]}{' or null' if optional else ''}"
+    raise error(f"{what} must be {expected}, got {value!r}")

@@ -169,21 +169,22 @@ def stats(
     """
     if lexicon is None:
         lexicon = bundled_lexicon()
-    user_totals = [sum(p for _, p in pairs) for pairs in table.by_user]
-    item_totals = [sum(p for _, p in pairs) for pairs in table.by_item]
-    total = float(sum(user_totals))
+    # bincount adds each index's weights in interaction order, as a Python
+    # sum over the user's or item's interactions would.
+    user_totals = np.bincount(table.users, weights=table.playtime, minlength=table.num_users)
+    item_totals = np.bincount(table.items, weights=table.playtime, minlength=table.num_items)
+    total = float(sum(user_totals.tolist()))
 
-    item_order = sorted(range(table.num_items), key=lambda i: (-item_totals[i], i))
-    user_order = sorted(range(table.num_users), key=lambda u: (-user_totals[u], u))
     top_items = [
         (table.index.item_id(i), table.item_names[i], float(item_totals[i]))
-        for i in item_order[:TOP_N]
+        for i in np.argsort(-item_totals, kind="stable")[:TOP_N].tolist()
     ]
     top_users = [
-        (table.index.user_id(u), float(user_totals[u])) for u in user_order[:TOP_N]
+        (table.index.user_id(u), float(user_totals[u]))
+        for u in np.argsort(-user_totals, kind="stable")[:TOP_N].tolist()
     ]
     return DatasetStats(
-        num_interactions=len(table.interactions),
+        num_interactions=len(table.users),
         num_users=table.num_users,
         num_items=table.num_items,
         num_reviews=len(reviews),

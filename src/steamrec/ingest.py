@@ -17,13 +17,16 @@ import ast
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _encode_str
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
-from .errors import FieldError, ParseError
+import numpy as np
+
+from .errors import FieldError, ParseError, check_type
 
 _LEADING_COUNT_RE = re.compile(r"\d[\d,]*")
 _PY_STRING_RE = re.compile(r"""('[^']*'|"[^"]*")""")
@@ -92,7 +95,8 @@ def _loads_tolerant(line: str, lineno: int) -> Any:
 
     A Python-literal line is decoded through :func:`_literal_to_json` when
     it can be, and by ``ast.literal_eval`` otherwise; both give the same
-    value for every line the translation accepts.
+    value for every line the translation accepts.  A line ``literal_eval``
+    refuses, an unhashable set member or dict key included, is a ParseError.
     """
     try:
         return json.loads(line)
@@ -106,7 +110,7 @@ def _loads_tolerant(line: str, lineno: int) -> Any:
             pass
     try:
         return ast.literal_eval(line)
-    except (ValueError, SyntaxError, MemoryError, RecursionError):
+    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
         raise ParseError(lineno, "not strict JSON nor a Python literal") from None
 
 
@@ -298,21 +302,26 @@ class IdIndex:
         return item_id in self._item_pos
 
 
-@dataclass
+@dataclass(eq=False)
 class InteractionTable:
-    """Flat interaction list plus the id index and per-user/per-item adjacency.
+    """Interaction columns plus the id index and a user-major CSR view.
 
-    ``by_user[u]`` holds ``(item_index, playtime_forever)`` pairs and
-    ``by_item[i]`` holds ``(user_index, playtime_forever)`` pairs, both in
-    interaction order.  The table is immutable by convention once built and
-    safe to share across threads.
+    ``users``/``items`` hold each interaction's dense indices and
+    ``playtime`` its ``playtime_forever``, all in interaction order.  User
+    ``u``'s items are ``user_items[user_indptr[u]:user_indptr[u + 1]]``, also
+    in interaction order.  ``item_names[i]`` is the name at item ``i``'s first
+    occurrence.  The table is immutable by convention once built and safe to
+    share across threads.
     """
 
     interactions: list[Interaction]
     index: IdIndex
-    item_names: list[str] = field(default_factory=list)
-    by_user: list[list[tuple[int, float]]] = field(default_factory=list)
-    by_item: list[list[tuple[int, float]]] = field(default_factory=list)
+    item_names: list[str]
+    users: np.ndarray
+    items: np.ndarray
+    playtime: np.ndarray
+    user_indptr: np.ndarray
+    user_items: np.ndarray
 
     @property
     def num_users(self) -> int:
@@ -328,34 +337,33 @@ class InteractionTable:
         cells = self.num_users * self.num_items
         if cells == 0:
             return 0.0
-        return len(self.interactions) / cells
+        return len(self.users) / cells
 
-    def seen_items(self, user_index: int) -> set[int]:
-        return {item for item, _ in self.by_user[user_index]}
+    def seen_items(self, user_index: int) -> np.ndarray:
+        """Item indices of the user's interactions, in interaction order."""
+        return self.user_items[self.user_indptr[user_index] : self.user_indptr[user_index + 1]]
 
 
-def build_table(interactions: list[Interaction]) -> InteractionTable:
-    """Index users/items by first appearance and build both adjacency views."""
+def build_table(interactions: Iterable[Interaction]) -> InteractionTable:
+    """Index users/items by first appearance; build the columns and the CSR view."""
+    interactions = list(interactions)
     index = IdIndex()
-    item_names: list[str] = []
-    by_user: list[list[tuple[int, float]]] = []
-    by_item: list[list[tuple[int, float]]] = []
-    for inter in interactions:
-        u = index.add_user(inter.user_id)
-        if u == len(by_user):
-            by_user.append([])
-        i = index.add_item(inter.item_id)
-        if i == len(by_item):
-            by_item.append([])
-            item_names.append(inter.item_name)
-        by_user[u].append((i, inter.playtime_forever))
-        by_item[i].append((u, inter.playtime_forever))
+    n = len(interactions)
+    users = np.fromiter(map(index.add_user, map(attrgetter("user_id"), interactions)), np.intp, n)
+    items = np.fromiter(map(index.add_item, map(attrgetter("item_id"), interactions)), np.intp, n)
+    playtime = np.fromiter(map(attrgetter("playtime_forever"), interactions), np.float64, n)
+    first = np.unique(items, return_index=True)[1]
+    user_indptr = np.zeros(index.num_users + 1, dtype=np.intp)
+    np.cumsum(np.bincount(users, minlength=index.num_users), out=user_indptr[1:])
     return InteractionTable(
-        interactions=list(interactions),
+        interactions=interactions,
         index=index,
-        item_names=item_names,
-        by_user=by_user,
-        by_item=by_item,
+        item_names=[interactions[j].item_name for j in first.tolist()],
+        users=users,
+        items=items,
+        playtime=playtime,
+        user_indptr=user_indptr,
+        user_items=items[np.argsort(users, kind="stable")],
     )
 
 
@@ -369,13 +377,18 @@ def interaction_to_dict(inter: Interaction) -> dict:
     }
 
 
+def _field(record: dict, key: str, kind: type) -> Any:
+    """``record[key]``, or a TypeError naming ``key`` when it is not a ``kind``."""
+    return check_type(record[key], kind, key, TypeError)
+
+
 def interaction_from_dict(record: dict) -> Interaction:
     return Interaction(
-        user_id=record["user_id"],
-        item_id=record["item_id"],
-        item_name=record["item_name"],
-        playtime_forever=record["playtime_forever"],
-        playtime_2weeks=record["playtime_2weeks"],
+        user_id=_field(record, "user_id", str),
+        item_id=_field(record, "item_id", int),
+        item_name=_field(record, "item_name", str),
+        playtime_forever=float(_field(record, "playtime_forever", float)),
+        playtime_2weeks=float(_field(record, "playtime_2weeks", float)),
     )
 
 
@@ -393,13 +406,13 @@ def review_to_dict(review: Review) -> dict:
 
 def review_from_dict(record: dict) -> Review:
     return Review(
-        user_id=record["user_id"],
-        item_id=record["item_id"],
-        text=record["text"],
-        recommended=record["recommended"],
-        funny=record["funny"],
-        helpful=record["helpful"],
-        posted=record["posted"],
+        user_id=_field(record, "user_id", str),
+        item_id=_field(record, "item_id", int),
+        text=_field(record, "text", str),
+        recommended=_field(record, "recommended", bool),
+        funny=_field(record, "funny", int),
+        helpful=_field(record, "helpful", int),
+        posted=_field(record, "posted", str),
     )
 
 
@@ -473,7 +486,7 @@ def _read_flat_jsonl(path: str | Path, from_dict) -> list:
                 records.append(from_dict(record))
             except KeyError as exc:
                 raise FieldError(lineno, f"missing required field {exc.args[0]!r}") from None
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise FieldError(lineno, str(exc)) from None
     return records
 

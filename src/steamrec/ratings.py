@@ -10,7 +10,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -42,20 +41,6 @@ class RatingTriple:
             raise ValueError(f"rating {self.rating} outside 1..5")
 
 
-def _interaction_columns(table: InteractionTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(user_index, item_index, playtime_forever) columns in interaction order."""
-    inters = table.interactions
-    n = len(inters)
-    users = np.fromiter(
-        map(table.index.user_index, map(attrgetter("user_id"), inters)), np.intp, n
-    )
-    items = np.fromiter(
-        map(table.index.item_index, map(attrgetter("item_id"), inters)), np.intp, n
-    )
-    playtimes = np.fromiter(map(attrgetter("playtime_forever"), inters), np.float64, n)
-    return users, items, playtimes
-
-
 def _item_medians(items: np.ndarray, playtimes: np.ndarray, num_items: int) -> np.ndarray:
     """Median playtime per item index, NaN for an item without interactions.
 
@@ -80,8 +65,7 @@ def median_playtime(table: InteractionTable) -> dict[int, float]:
     Items without interactions are absent from the map.  Even-sized samples
     use the mean of the two middle values.
     """
-    _, items, playtimes = _interaction_columns(table)
-    medians = _item_medians(items, playtimes, table.num_items)
+    medians = _item_medians(table.items, table.playtime, table.num_items)
     present = np.flatnonzero(~np.isnan(medians))
     return dict(zip(present.tolist(), medians[present].tolist()))
 
@@ -142,16 +126,13 @@ def match_reviews(
     A review is unmatchable when its (user, item) pair has no interaction in
     the table.
     """
-    pairs = set(map(attrgetter("user_id", "item_id"), table.interactions))
-    matched: dict[tuple[int, int], Review] = {}
-    skipped = 0
-    for review in reviews:
-        if (review.user_id, review.item_id) not in pairs:
-            skipped += 1
-            continue
-        key = (table.index.user_index(review.user_id), table.index.item_index(review.item_id))
-        matched[key] = review
-    return matched, skipped
+    index, num_items = table.index, table.num_items
+    reviews = list(reviews)
+    known = [r for r in reviews if index.has_user(r.user_id) and index.has_item(r.item_id)]
+    keys = [index.user_index(r.user_id) * num_items + index.item_index(r.item_id) for r in known]
+    found = np.isin(keys, table.users * num_items + table.items).tolist()
+    matched = {divmod(key, num_items): r for key, r, ok in zip(keys, known, found) if ok}
+    return matched, len(reviews) - sum(found)
 
 
 def derive_array(
@@ -173,7 +154,7 @@ def derive_array(
     strategy = Strategy(strategy)
     if strategy is Strategy.PLAYTIME_SENTIMENT and lexicon is None:
         raise ValueError("sentiment strategy needs a lexicon")
-    users, items, playtimes = _interaction_columns(table)
+    users, items, playtimes = table.users, table.items, table.playtime
     medians = _item_medians(items, playtimes, table.num_items)[items]
     # One plus the number of thresholds exceeded is the bucket of
     # playtime_rating; a zero median gives 5 for any play and 1 for none.

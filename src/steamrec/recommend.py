@@ -71,7 +71,7 @@ def top_k(
     scores = row_dots(model.item_factors, model.user_factors[user_index])
     candidates = np.arange(model.num_items)
     if exclude_seen:
-        candidates = np.delete(candidates, list(table.seen_items(user_index)))
+        candidates = np.delete(candidates, table.seen_items(user_index))
     negated = -scores[candidates]
     if k < len(candidates):
         # Keep every candidate tied with the k-th best, then order by

@@ -298,6 +298,8 @@ def test_sweep_with_no_ranks_is_one_line_error(tmp_path, capsys):
 
 
 _VALID_CONFIG = {"items": "items.jsonl", "out_dir": "out"}
+# a config whose items file exists, so a value let through would write artifacts
+_RUNNABLE_CONFIG = {"items": str(DATA_DIR / "pipeline_items.jsonl"), "out_dir": "out"}
 
 
 @pytest.mark.parametrize(
@@ -313,17 +315,30 @@ _VALID_CONFIG = {"items": "items.jsonl", "out_dir": "out"}
         ({**_VALID_CONFIG, "users": "player01"}, [], "'users' must be a list or null"),
         ({**_VALID_CONFIG, "users": ["player01", 2]}, [], "each of 'users' must be a string"),
         ({**_VALID_CONFIG, "items": 1}, [], "'items' must be a string"),
+        ({**_RUNNABLE_CONFIG, "train": {"rank": 2.5}}, [], "'train.rank' must be an integer"),
+        ({**_RUNNABLE_CONFIG, "train": {"iterations": 2.0}}, [],
+         "'train.iterations' must be an integer"),
+        ({**_RUNNABLE_CONFIG, "train": {"seed": True}}, [], "'train.seed' must be an integer"),
+        ({**_RUNNABLE_CONFIG, "split": {"seed": 4.5}}, [], "'split.seed' must be an integer"),
+        ({**_RUNNABLE_CONFIG, "train": {"lambda": "0.1"}}, [],
+         "'train.regularization' must be a number"),
+        ({**_RUNNABLE_CONFIG, "split": {"fraction": [0.5]}}, [],
+         "'split.fraction' must be a number"),
     ],
 )
-def test_run_config_rejects_values_of_the_wrong_type(tmp_path, capsys, config, flags, message):
+def test_run_config_rejects_values_of_the_wrong_type(
+    tmp_path, monkeypatch, capsys, config, flags, message
+):
     with pytest.raises(ConfigError, match=message):
         RunConfig.from_mapping(config)
+    monkeypatch.chdir(tmp_path)  # the relative out_dir "out" lands here
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     code = main(["pipeline", "--config", str(path), *flags])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.count("\n") == 1 and message in captured.err
+    assert not list((tmp_path / "out").glob("*"))
 
 
 def test_run_config_ignores_workers_and_lambda_flag_beats_file(tmp_path):
@@ -356,9 +371,12 @@ _FLAT_REVIEW = (
         ('{"foo": 1}', "line 3: missing required field"),
         ("[1, 2]", "line 3: record is not an object"),
         ("{not json", "line 3: not a JSON value"),
+        ('{"user_id": null, "item_id": "abc", "item_name": "x", "playtime_forever": 1, '
+         '"playtime_2weeks": 0}', "line 3: user_id must be a string, got None"),
+        ('{"user_id": "u2", "item_id": true}', "line 3: item_id must be an integer, got True"),
     ],
 )
-@pytest.mark.parametrize("command", ["stats", "recommend", "sentiment report"])
+@pytest.mark.parametrize("command", ["stats", "recommend", "sentiment report", "derive"])
 def test_bad_flat_jsonl_line_is_one_line_error_naming_the_line(
     tmp_path, capsys, command, bad_line, message
 ):
@@ -374,6 +392,8 @@ def test_bad_flat_jsonl_line_is_one_line_error_naming_the_line(
         assert main(["train", "--ratings", str(ratings_csv), "--rank", "1", "--iters", "1",
                      "--out", str(model)]) == 0
         argv = ["recommend", "--model", str(model), "--interactions", str(path), "--users", "u1"]
+    elif command == "derive":
+        argv = ["derive", "--interactions", str(path), "--out", str(tmp_path / "ratings.csv")]
     else:
         argv = ["sentiment", "report", "--reviews", str(path)]
     capsys.readouterr()
@@ -382,6 +402,16 @@ def test_bad_flat_jsonl_line_is_one_line_error_naming_the_line(
     assert code == 1
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and message in captured.err
+
+
+def test_literal_line_with_an_unhashable_key_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "items.jsonl"
+    path.write_text("{'user_id': 'u', 'items': {[1]}}\n", encoding="utf-8")
+    code = main(["stats", "--items", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "steamrec: error: line 1: not strict JSON nor a Python literal\n"
 
 
 def test_subcommand_chain_reproduces_pipeline_artifacts(tmp_path, capsys):

@@ -1,10 +1,11 @@
 import ast
 import json
 import random
+import re
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steamrec import (
@@ -31,6 +32,8 @@ from steamrec.ingest import (
     review_from_dict,
     review_to_dict,
 )
+from steamrec.evaluation import TOP_N, stats
+from steamrec.ratings import match_reviews
 
 from .conftest import DATA_DIR, make_interaction
 
@@ -261,7 +264,7 @@ def reference_loads(line, lineno):
         pass
     try:
         return ast.literal_eval(line)
-    except (ValueError, SyntaxError, MemoryError, RecursionError):
+    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
         raise ParseError(lineno, "not strict JSON nor a Python literal") from None
 
 
@@ -360,6 +363,7 @@ def test_steam_literal_line_takes_the_translation():
         "{'a': '''x'''}", "{'a': 'x' 'y'}", "{'a': u'x'}", "{1: 'x'}", "{'a': 'x\\'y'}",
         "{'a': '\ud800'}", "{'a': 1}\x00", "['x', 'y]", "{'a': \"b}", "[١]", "[1] # c",
         "{'a': 'x\ty'}", "{'a': -0.0, 'b': 1e999, 'c': True, 'd': None}", "[inf]", "[nan]",
+        "{'user_id': 'u', 'items': {[1]}}", "{[1]: 'x'}",
     ],
 )
 def test_lines_json_would_misread_fall_back_to_literal_eval(line):
@@ -386,6 +390,52 @@ def test_jsonl_files_round_trip(tmp_path):
     rpath = tmp_path / "reviews.jsonl"
     write_reviews_jsonl(reviews, rpath)
     assert read_reviews_jsonl(rpath) == reviews
+
+
+_FLAT_GOOD = {
+    interaction_from_dict: {"user_id": "u", "item_id": 1, "item_name": "x",
+                            "playtime_forever": 1.5, "playtime_2weeks": 0},
+    review_from_dict: {"user_id": "u", "item_id": 1, "text": "fun", "recommended": True,
+                       "funny": 0, "helpful": 2, "posted": ""},
+}
+
+
+@pytest.mark.parametrize(
+    "from_dict, key, value, message",
+    [
+        (interaction_from_dict, "user_id", None, "user_id must be a string, got None"),
+        (interaction_from_dict, "user_id", 7, "user_id must be a string, got 7"),
+        (interaction_from_dict, "item_id", "1", "item_id must be an integer, got '1'"),
+        (interaction_from_dict, "item_id", True, "item_id must be an integer, got True"),
+        (interaction_from_dict, "item_id", 1.0, "item_id must be an integer, got 1.0"),
+        (interaction_from_dict, "item_name", None, "item_name must be a string, got None"),
+        (interaction_from_dict, "playtime_forever", "5",
+         "playtime_forever must be a number, got '5'"),
+        (interaction_from_dict, "playtime_forever", False,
+         "playtime_forever must be a number, got False"),
+        (interaction_from_dict, "playtime_forever", 10**400, "too large"),
+        (interaction_from_dict, "playtime_2weeks", None,
+         "playtime_2weeks must be a number, got None"),
+        (review_from_dict, "user_id", None, "user_id must be a string, got None"),
+        (review_from_dict, "item_id", "3", "item_id must be an integer, got '3'"),
+        (review_from_dict, "text", None, "text must be a string, got None"),
+        (review_from_dict, "recommended", 1, "recommended must be a boolean, got 1"),
+        (review_from_dict, "recommended", "true", "recommended must be a boolean, got 'true'"),
+        (review_from_dict, "funny", 1.5, "funny must be an integer, got 1.5"),
+        (review_from_dict, "funny", False, "funny must be an integer, got False"),
+        (review_from_dict, "helpful", "2", "helpful must be an integer, got '2'"),
+        (review_from_dict, "posted", 0, "posted must be a string, got 0"),
+    ],
+)
+def test_flat_reader_rejects_a_field_of_the_wrong_type(tmp_path, from_dict, key, value, message):
+    good = _FLAT_GOOD[from_dict]
+    path = tmp_path / "flat.jsonl"
+    path.write_text(f"{json.dumps(good)}\n{json.dumps({**good, key: value})}\n", encoding="utf-8")
+    read = read_interactions_jsonl if from_dict is interaction_from_dict else read_reviews_jsonl
+    with pytest.raises(FieldError, match=f"^line 2: .*{re.escape(message)}"):
+        read(path)
+    path.write_text(f"{json.dumps(good)}\n", encoding="utf-8")
+    assert len(read(path)) == 1
 
 
 def test_review_dict_round_trip():
@@ -524,13 +574,115 @@ def test_first_appearance_indexing_and_adjacency():
     table = build_table(interactions)
     assert table.index.user_ids == ["b", "a"]
     assert table.index.item_ids == [20, 10]
-    assert table.by_user[0] == [(0, 1.0), (1, 3.0)]
-    assert table.by_item[1] == [(1, 2.0), (0, 3.0)]
-    # adjacency is consistent with the flat list
+    # user 0's CSR slice, paired with its playtimes in interaction order
+    user0 = table.users == 0
+    assert list(zip(table.seen_items(0).tolist(), table.playtime[user0].tolist())) == [
+        (0, 1.0), (1, 3.0)
+    ]
+    item1 = table.items == 1
+    assert list(zip(table.users[item1].tolist(), table.playtime[item1].tolist())) == [
+        (1, 2.0), (0, 3.0)
+    ]
+    # the columns and the CSR view are consistent with the flat list
     flat = {
         (table.index.user_index(i.user_id), table.index.item_index(i.item_id), i.playtime_forever)
         for i in table.interactions
     }
-    from_user = {(u, i, p) for u, pairs in enumerate(table.by_user) for i, p in pairs}
-    from_item = {(u, i, p) for i, pairs in enumerate(table.by_item) for u, p in pairs}
-    assert flat == from_user == from_item
+    from_columns = set(zip(table.users.tolist(), table.items.tolist(), table.playtime.tolist()))
+    from_csr = {
+        (u, i, p)
+        for u in range(table.num_users)
+        for i, p in zip(table.seen_items(u).tolist(), table.playtime[table.users == u].tolist())
+    }
+    assert flat == from_columns == from_csr
+
+
+def _reference_adjacency(interactions):
+    """The per-record ``by_user``/``by_item`` lists of (index, playtime) pairs."""
+    users, items = {}, {}
+    by_user, by_item = [], []
+    for inter in interactions:
+        u = users.setdefault(inter.user_id, len(users))
+        i = items.setdefault(inter.item_id, len(items))
+        if u == len(by_user):
+            by_user.append([])
+        if i == len(by_item):
+            by_item.append([])
+        by_user[u].append((i, inter.playtime_forever))
+        by_item[i].append((u, inter.playtime_forever))
+    return by_user, by_item
+
+
+def _reference_match(table, reviews):
+    """match_reviews over the set of raw (user_id, item_id) pairs."""
+    pairs = {(inter.user_id, inter.item_id) for inter in table.interactions}
+    matched, skipped = {}, 0
+    for review in reviews:
+        if (review.user_id, review.item_id) not in pairs:
+            skipped += 1
+            continue
+        key = (table.index.user_index(review.user_id), table.index.item_index(review.item_id))
+        matched[key] = review
+    return matched, skipped
+
+
+_playtimes = st.one_of(
+    # floating-point sums of these depend on the order of the terms
+    st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, 1e16, 3.0]),
+    st.floats(0, 1e17, allow_nan=False, allow_infinity=False),
+    st.integers(0, 10**6),
+)
+_interaction_lists = st.lists(
+    st.builds(
+        make_interaction,
+        user=st.sampled_from(["a", "b", "c", "d"]),
+        item=st.integers(0, 3),
+        name=st.sampled_from(["x", "y", ""]),
+        forever=_playtimes,
+    ),
+    max_size=30,
+)
+_review_lists = st.lists(
+    st.builds(
+        Review,
+        user_id=st.sampled_from(["a", "b", "c", "z"]),
+        item_id=st.integers(0, 7),
+        text=st.just(""),
+        recommended=st.booleans(),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(interactions=_interaction_lists, reviews=_review_lists)
+@example(interactions=[], reviews=[Review("a", 1, "", True)])
+def test_columnar_table_matches_per_record_references(interactions, reviews):
+    table = build_table(interactions)
+    by_user, by_item = _reference_adjacency(interactions)
+    assert (table.num_users, table.num_items) == (len(by_user), len(by_item))
+    for u, pairs in enumerate(by_user):
+        assert table.seen_items(u).tolist() == [i for i, _ in pairs]
+        assert table.playtime[table.users == u].tolist() == [float(p) for _, p in pairs]
+    for i, pairs in enumerate(by_item):
+        assert table.users[table.items == i].tolist() == [u for u, _ in pairs]
+
+    report = stats(table)
+    user_totals = [sum(p for _, p in pairs) for pairs in by_user]
+    item_totals = [sum(p for _, p in pairs) for pairs in by_item]
+    top_items = [
+        (table.index.item_id(i), table.item_names[i], float(item_totals[i]))
+        for i in sorted(range(len(by_item)), key=lambda i: (-item_totals[i], i))[:TOP_N]
+    ]
+    top_users = [
+        (table.index.user_id(u), float(user_totals[u]))
+        for u in sorted(range(len(by_user)), key=lambda u: (-user_totals[u], u))[:TOP_N]
+    ]
+    # repr tells -0.0 from 0.0 and shows every bit that float equality would
+    assert repr(report.top_items) == repr(top_items)
+    assert repr(report.top_users) == repr(top_users)
+    assert repr(report.total_playtime) == repr(float(sum(user_totals)))
+    assert report.num_interactions == len(interactions)
+
+    got, expected = match_reviews(table, reviews), _reference_match(table, reviews)
+    assert list(got[0].items()) == list(expected[0].items()) and got[1] == expected[1]
