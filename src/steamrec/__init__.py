@@ -44,6 +44,7 @@ from .ingest import (
     IdIndex,
     Interaction,
     InteractionTable,
+    Interactions,
     Review,
     build_table,
     parse_reviews,

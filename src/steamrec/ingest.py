@@ -17,12 +17,13 @@ import ast
 import json
 import math
 import re
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, get_type_hints
 
 import numpy as np
 
@@ -46,8 +47,12 @@ class Interaction:
     playtime_2weeks: float = 0.0
 
     def __post_init__(self):
-        if not (0 <= self.playtime_forever < math.inf and 0 <= self.playtime_2weeks < math.inf):
-            raise ValueError("playtime must be finite and non-negative")
+        _check_playtimes(self.playtime_forever, self.playtime_2weeks)
+
+
+def _check_playtimes(forever: float, recent: float) -> None:
+    if not (0 <= forever < math.inf and 0 <= recent < math.inf):
+        raise ValueError("playtime must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -61,6 +66,63 @@ class Review:
     funny: int = 0
     helpful: int = 0
     posted: str = ""
+
+
+_FIELDS = {kind: tuple(get_type_hints(kind).items()) for kind in (Interaction, Review)}
+
+
+class Interactions(Sequence):
+    """Five parallel columns, one per :class:`Interaction` field, of exact values.
+
+    Reads as a sequence of :class:`Interaction` made on demand, equal to any
+    sequence of equal interactions."""
+
+    __slots__ = tuple(name for name, _ in _FIELDS[Interaction])
+
+    def __init__(self, records: Iterable[Interaction] = ()):
+        """The columns of ``records`` as they are: repeated pairs stay separate rows."""
+        records = list(records)
+        for name in self.__slots__:
+            setattr(self, name, [getattr(r, name) for r in records])
+
+    @classmethod
+    def of(cls, interactions: Iterable[Interaction]) -> Interactions:
+        return interactions if isinstance(interactions, Interactions) else cls(interactions)
+
+    columns = property(attrgetter(*__slots__), doc="The five columns, in field order.")
+
+    def __len__(self) -> int:
+        return len(self.user_id)
+
+    def __getitem__(self, index: int) -> Interaction:
+        return Interaction(*(column[index] for column in self.columns))
+
+    def __iter__(self) -> Iterator[Interaction]:
+        return map(Interaction, *self.columns)
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+
+def _merged(rows: Iterable[Sequence]) -> Interactions:
+    """One row per (user, item) pair, at the pair's first position, holding the
+    values of its first row with the largest ``playtime_forever``."""
+    merged = Interactions()
+    users, items, names, forever, recent = merged.columns
+    position: dict[str, dict[int, int]] = {}  # user -> item -> row index
+    for user_id, item_id, name, played, played_2weeks in rows:
+        user_rows = position.setdefault(user_id, {})
+        at = user_rows.get(item_id)
+        if at is None:
+            user_rows[item_id] = len(users)
+            users.append(user_id)
+            items.append(item_id)
+            names.append(name)
+            forever.append(played)
+            recent.append(played_2weeks)
+        elif played > forever[at]:
+            names[at], forever[at], recent[at] = name, played, played_2weeks
+    return merged
 
 
 def _literal_to_json(line: str) -> str | None:
@@ -146,8 +208,6 @@ def _parse_playtime(raw: Any, key: str, lineno: int) -> float:
 
 def _parse_count(raw: Any) -> int:
     """Read vote counts that may arrive as ints or prose ('35 of 43 people...')."""
-    if isinstance(raw, bool):
-        return int(raw)
     if isinstance(raw, (int, float)):
         return max(int(raw), 0)
     if isinstance(raw, str):
@@ -164,43 +224,40 @@ def _numbered_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def parse_user_items(lines: Iterable[str]) -> list[Interaction]:
-    """Flatten a stream of user-items records into one Interaction per pair.
-
-    Duplicate (user, item) pairs keep the record with the larger
-    ``playtime_forever``; missing playtime fields read as 0.  Raises
-    :class:`ParseError` for unparseable lines and :class:`FieldError` for
-    records missing ``user_id``/``item_id``, both carrying the 1-based line
-    number.
-    """
-    seen: dict[tuple[str, int], Interaction] = {}
+def _entries(lines: Iterable[str], key: str) -> Iterator[tuple[int, str, dict]]:
+    """(line number, user id, entry) for each entry of each record's ``key`` list."""
     for lineno, line in _numbered_lines(lines):
         record = _loads_tolerant(line, lineno)
         if not isinstance(record, dict):
             raise ParseError(lineno, "record is not an object")
         user_id = str(_require(record, "user_id", lineno))
-        items = record.get("items", [])
-        if not isinstance(items, list):
-            raise FieldError(lineno, "'items' is not a list")
-        for entry in items:
+        entries = record.get(key, [])
+        if not isinstance(entries, list):
+            raise FieldError(lineno, f"{key!r} is not a list")
+        for entry in entries:
             if not isinstance(entry, dict):
-                raise FieldError(lineno, "item entry is not an object")
-            interaction = Interaction(
-                user_id=user_id,
-                item_id=_parse_item_id(_require(entry, "item_id", lineno), lineno),
-                item_name=str(entry.get("item_name", "")),
-                playtime_forever=_parse_playtime(
-                    entry.get("playtime_forever", 0), "playtime_forever", lineno
-                ),
-                playtime_2weeks=_parse_playtime(
-                    entry.get("playtime_2weeks", 0), "playtime_2weeks", lineno
-                ),
-            )
-            key = (interaction.user_id, interaction.item_id)
-            prev = seen.get(key)
-            if prev is None or interaction.playtime_forever > prev.playtime_forever:
-                seen[key] = interaction
-    return list(seen.values())
+                raise FieldError(lineno, f"{key[:-1]} entry is not an object")
+            yield lineno, user_id, entry
+
+
+def parse_user_items(lines: Iterable[str]) -> Interactions:
+    """Flatten a stream of user-items records into one row per (user, item) pair.
+
+    Duplicate pairs keep the entry with the larger ``playtime_forever``;
+    missing playtime fields read as 0.  Raises :class:`ParseError` for
+    unparseable lines and :class:`FieldError` for records missing
+    ``user_id``/``item_id``, both carrying the 1-based line number.
+    """
+    return _merged(
+        (
+            user_id,
+            _parse_item_id(_require(entry, "item_id", lineno), lineno),
+            str(entry.get("item_name", "")),
+            _parse_playtime(entry.get("playtime_forever", 0), "playtime_forever", lineno),
+            _parse_playtime(entry.get("playtime_2weeks", 0), "playtime_2weeks", lineno),
+        )
+        for lineno, user_id, entry in _entries(lines, "items")
+    )
 
 
 def parse_reviews(lines: Iterable[str]) -> list[Review]:
@@ -210,33 +267,20 @@ def parse_reviews(lines: Iterable[str]) -> list[Review]:
     review entry without a ``recommend`` flag is a :class:`FieldError`.
     """
     seen: dict[tuple[str, int], Review] = {}
-    for lineno, line in _numbered_lines(lines):
-        record = _loads_tolerant(line, lineno)
-        if not isinstance(record, dict):
-            raise ParseError(lineno, "record is not an object")
-        user_id = str(_require(record, "user_id", lineno))
-        reviews = record.get("reviews", [])
-        if not isinstance(reviews, list):
-            raise FieldError(lineno, "'reviews' is not a list")
-        for entry in reviews:
-            if not isinstance(entry, dict):
-                raise FieldError(lineno, "review entry is not an object")
-            if "recommend" in entry:
-                recommended = entry["recommend"]
-            elif "recommended" in entry:
-                recommended = entry["recommended"]
-            else:
-                raise FieldError(lineno, "missing required field 'recommend'")
-            review = Review(
-                user_id=user_id,
-                item_id=_parse_item_id(_require(entry, "item_id", lineno), lineno),
-                text=str(entry.get("review", "")),
-                recommended=bool(recommended),
-                funny=_parse_count(entry.get("funny")),
-                helpful=_parse_count(entry.get("helpful")),
-                posted=str(entry.get("posted", "")),
-            )
-            seen[(review.user_id, review.item_id)] = review
+    for lineno, user_id, entry in _entries(lines, "reviews"):
+        if "recommend" not in entry and "recommended" not in entry:
+            raise FieldError(lineno, "missing required field 'recommend'")
+        recommended = entry.get("recommend", entry.get("recommended"))
+        review = Review(
+            user_id=user_id,
+            item_id=_parse_item_id(_require(entry, "item_id", lineno), lineno),
+            text=str(entry.get("review", "")),
+            recommended=bool(recommended),
+            funny=_parse_count(entry.get("funny")),
+            helpful=_parse_count(entry.get("helpful")),
+            posted=str(entry.get("posted", "")),
+        )
+        seen[(review.user_id, review.item_id)] = review
     return list(seen.values())
 
 
@@ -314,7 +358,7 @@ class InteractionTable:
     share across threads.
     """
 
-    interactions: list[Interaction]
+    interactions: Interactions
     index: IdIndex
     item_names: list[str]
     users: np.ndarray
@@ -335,9 +379,7 @@ class InteractionTable:
     def sparsity(self) -> float:
         """Fraction of the user x item grid with an observed interaction (0 when empty)."""
         cells = self.num_users * self.num_items
-        if cells == 0:
-            return 0.0
-        return len(self.users) / cells
+        return len(self.users) / cells if cells else 0.0
 
     def seen_items(self, user_index: int) -> np.ndarray:
         """Item indices of the user's interactions, in interaction order."""
@@ -346,19 +388,19 @@ class InteractionTable:
 
 def build_table(interactions: Iterable[Interaction]) -> InteractionTable:
     """Index users/items by first appearance; build the columns and the CSR view."""
-    interactions = list(interactions)
+    interactions = Interactions.of(interactions)
     index = IdIndex()
     n = len(interactions)
-    users = np.fromiter(map(index.add_user, map(attrgetter("user_id"), interactions)), np.intp, n)
-    items = np.fromiter(map(index.add_item, map(attrgetter("item_id"), interactions)), np.intp, n)
-    playtime = np.fromiter(map(attrgetter("playtime_forever"), interactions), np.float64, n)
+    users = np.fromiter(map(index.add_user, interactions.user_id), np.intp, n)
+    items = np.fromiter(map(index.add_item, interactions.item_id), np.intp, n)
+    playtime = np.fromiter(interactions.playtime_forever, np.float64, n)
     first = np.unique(items, return_index=True)[1]
     user_indptr = np.zeros(index.num_users + 1, dtype=np.intp)
     np.cumsum(np.bincount(users, minlength=index.num_users), out=user_indptr[1:])
     return InteractionTable(
         interactions=interactions,
         index=index,
-        item_names=[interactions[j].item_name for j in first.tolist()],
+        item_names=list(map(interactions.item_name.__getitem__, first.tolist())),
         users=users,
         items=items,
         playtime=playtime,
@@ -367,53 +409,31 @@ def build_table(interactions: Iterable[Interaction]) -> InteractionTable:
     )
 
 
-def interaction_to_dict(inter: Interaction) -> dict:
-    return {
-        "user_id": inter.user_id,
-        "item_id": inter.item_id,
-        "item_name": inter.item_name,
-        "playtime_forever": inter.playtime_forever,
-        "playtime_2weeks": inter.playtime_2weeks,
-    }
+interaction_to_dict = review_to_dict = asdict
 
 
-def _field(record: dict, key: str, kind: type) -> Any:
-    """``record[key]``, or a TypeError naming ``key`` when it is not a ``kind``."""
-    return check_type(record[key], kind, key, TypeError)
+def _checked(record: dict, kind: type) -> list:
+    """``record``'s values for the fields of ``kind`` in order; KeyError if one is
+    missing, TypeError if not of its field's type.  Integers for floats read as floats."""
+    return [
+        float(check_type(record[key], hint, key, TypeError)) if hint is float
+        else check_type(record[key], hint, key, TypeError)
+        for key, hint in _FIELDS[kind]
+    ]
+
+
+def _interaction_row(record: dict) -> list:
+    row = _checked(record, Interaction)
+    _check_playtimes(row[3], row[4])
+    return row
 
 
 def interaction_from_dict(record: dict) -> Interaction:
-    return Interaction(
-        user_id=_field(record, "user_id", str),
-        item_id=_field(record, "item_id", int),
-        item_name=_field(record, "item_name", str),
-        playtime_forever=float(_field(record, "playtime_forever", float)),
-        playtime_2weeks=float(_field(record, "playtime_2weeks", float)),
-    )
-
-
-def review_to_dict(review: Review) -> dict:
-    return {
-        "user_id": review.user_id,
-        "item_id": review.item_id,
-        "text": review.text,
-        "recommended": review.recommended,
-        "funny": review.funny,
-        "helpful": review.helpful,
-        "posted": review.posted,
-    }
+    return Interaction(*_checked(record, Interaction))
 
 
 def review_from_dict(record: dict) -> Review:
-    return Review(
-        user_id=_field(record, "user_id", str),
-        item_id=_field(record, "item_id", int),
-        text=_field(record, "text", str),
-        recommended=_field(record, "recommended", bool),
-        funny=_field(record, "funny", int),
-        helpful=_field(record, "helpful", int),
-        posted=_field(record, "posted", str),
-    )
+    return Review(*_checked(record, Review))
 
 
 def _write_jsonl(lines: Iterable[str], path: str | Path) -> None:
@@ -424,14 +444,12 @@ def _write_jsonl(lines: Iterable[str], path: str | Path) -> None:
             handle.write("\n".join(chunk) + "\n")
 
 
-def _interaction_line(inter: Interaction) -> str:
-    """``json.dumps(interaction_to_dict(inter), allow_nan=False)``, formatted directly.
+def _interaction_line(user_id, item_id, name, forever, recent) -> str:
+    """``json.dumps`` of the row's flat record with ``allow_nan=False``, formatted directly.
 
     Fields of any other type than declared, or a non-finite playtime, go
     through ``json.dumps`` itself, so the bytes and the refusal are its own.
     """
-    user_id, item_id, name = inter.user_id, inter.item_id, inter.item_name
-    forever, recent = inter.playtime_forever, inter.playtime_2weeks
     if (
         type(user_id) is str and type(item_id) is int and type(name) is str
         and type(forever) is float and type(recent) is float
@@ -442,36 +460,16 @@ def _interaction_line(inter: Interaction) -> str:
             f'"item_name": {_encode_str(name)}, "playtime_forever": {float.__repr__(forever)}, '
             f'"playtime_2weeks": {float.__repr__(recent)}}}'
         )
-    return json.dumps(interaction_to_dict(inter), allow_nan=False)
-
-
-def _review_line(review: Review) -> str:
-    """``json.dumps(review_to_dict(review), allow_nan=False)``, formatted directly."""
-    user_id, item_id, text = review.user_id, review.item_id, review.text
-    recommended, funny, helpful, posted = (
-        review.recommended, review.funny, review.helpful, review.posted
-    )
-    if (
-        type(user_id) is str and type(item_id) is int and type(text) is str
-        and type(recommended) is bool and type(funny) is int and type(helpful) is int
-        and type(posted) is str
-    ):
-        return (
-            f'{{"user_id": {_encode_str(user_id)}, "item_id": {int.__repr__(item_id)}, '
-            f'"text": {_encode_str(text)}, "recommended": {"true" if recommended else "false"}, '
-            f'"funny": {int.__repr__(funny)}, "helpful": {int.__repr__(helpful)}, '
-            f'"posted": {_encode_str(posted)}}}'
-        )
-    return json.dumps(review_to_dict(review), allow_nan=False)
+    row = (user_id, item_id, name, forever, recent)
+    return json.dumps(dict(zip(Interactions.__slots__, row)), allow_nan=False)
 
 
 def write_interactions_jsonl(interactions: Iterable[Interaction], path: str | Path) -> None:
-    _write_jsonl(map(_interaction_line, interactions), path)
+    _write_jsonl(map(_interaction_line, *Interactions.of(interactions).columns), path)
 
 
-def _read_flat_jsonl(path: str | Path, from_dict) -> list:
+def _flat_records(path: str | Path, from_dict) -> Iterator:
     """``from_dict`` of each non-empty line; a bad line raises ParseError/FieldError naming it."""
-    records = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
@@ -483,24 +481,25 @@ def _read_flat_jsonl(path: str | Path, from_dict) -> list:
             if not isinstance(record, dict):
                 raise ParseError(lineno, "record is not an object")
             try:
-                records.append(from_dict(record))
+                checked = from_dict(record)
             except KeyError as exc:
                 raise FieldError(lineno, f"missing required field {exc.args[0]!r}") from None
             except (TypeError, ValueError, OverflowError) as exc:
                 raise FieldError(lineno, str(exc)) from None
-    return records
+            yield checked
 
 
-def read_interactions_jsonl(path: str | Path) -> list[Interaction]:
-    return _read_flat_jsonl(path, interaction_from_dict)
+def read_interactions_jsonl(path: str | Path) -> Interactions:
+    """Read a flat interactions.jsonl; repeated pairs merge as in :func:`parse_user_items`."""
+    return _merged(_flat_records(path, _interaction_row))
 
 
 def write_reviews_jsonl(reviews: Iterable[Review], path: str | Path) -> None:
-    _write_jsonl(map(_review_line, reviews), path)
+    _write_jsonl((json.dumps(asdict(r), allow_nan=False) for r in reviews), path)
 
 
 def read_reviews_jsonl(path: str | Path) -> list[Review]:
-    return _read_flat_jsonl(path, review_from_dict)
+    return list(_flat_records(path, review_from_dict))
 
 
 def _sniff_key(path: str | Path, key: str) -> bool:
@@ -525,7 +524,7 @@ def read_reviews_any(path: str | Path) -> list[Review]:
         return parse_reviews(handle)
 
 
-def read_interactions_any(path: str | Path) -> list[Interaction]:
+def read_interactions_any(path: str | Path) -> Interactions:
     """Read interactions from a raw user-items dump or a flat interactions.jsonl."""
     if not _sniff_key(path, "items"):
         return read_interactions_jsonl(path)

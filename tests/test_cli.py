@@ -499,3 +499,103 @@ def test_any_json_config_exits_0_or_1_with_one_error_line(capsys, config):
     assert code in (0, 1)
     if code == 1:
         assert captured.err.count("\n") == 1 and captured.err.startswith("steamrec: ")
+
+
+def _flat_line(user, item, playtime):
+    return json.dumps({"user_id": user, "item_id": item, "item_name": "CS",
+                       "playtime_forever": playtime, "playtime_2weeks": 0.0}) + "\n"
+
+
+def _derived_rows(tmp_path, name, lines):
+    flat, out = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.csv"
+    flat.write_text("".join(lines), encoding="utf-8")
+    assert main(["derive", "--interactions", str(flat), "--out", str(out)]) == 0
+    return out.read_text(encoding="utf-8").splitlines()[1:]
+
+
+def test_flat_reader_merges_duplicate_pairs_like_the_raw_parser(tmp_path, capsys):
+    u1_short, u1_long = _flat_line("u1", 10, 6), _flat_line("u1", 10, 90)
+    u2 = _flat_line("u2", 10, 30)
+    flat = tmp_path / "dup.jsonl"
+    flat.write_text(u1_short + u1_long + u2, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["stats", "--items", str(flat)]) == 0
+    out = capsys.readouterr().out
+    assert "interactions:          2\n" in out
+    assert "sparsity:              1.000000\n" in out
+
+    merged = _derived_rows(tmp_path, "dup", [u1_short, u1_long, u2])
+    assert len(merged) == 2
+    # the pair is rated from playtime 90, not 6
+    assert merged == _derived_rows(tmp_path, "long", [u1_long, u2])
+    assert merged[0] != _derived_rows(tmp_path, "short", [u1_short, u2])[0]
+
+
+def test_data_path_makes_no_interaction(tmp_path, monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("an Interaction was made on the data path")
+
+    monkeypatch.setattr(steamrec.ingest.Interaction, "__post_init__", refuse)
+    assert main(_pipeline_args(tmp_path)) == 0
+    out = tmp_path / "out"
+    flat, reviews = str(out / "interactions.jsonl"), str(out / "reviews.jsonl")
+    assert main(["stats", "--items", flat, "--reviews", reviews]) == 0
+    assert main(["derive", "--interactions", flat, "--reviews", reviews,
+                 "--strategy", "sentiment", "--out", str(tmp_path / "ratings.csv")]) == 0
+    assert main(["recommend", "--model", str(out / "model.bin"), "--interactions", flat,
+                 "--users", "player01,player02"]) == 0
+
+
+# Raw user-items lines: valid records, records with odd values, and either
+# rendered as JSON or as a Python literal, then possibly cut or edited.
+_ODD = st.none() | st.booleans() | st.integers(-5, 10**6) | st.floats() | st.text(max_size=4)
+
+
+def _mostly(valid):
+    """``valid`` nine times in ten, else an odd value."""
+    return st.integers(0, 9).flatmap(lambda n: valid if n else _ODD)
+
+
+_ITEM_ENTRIES = st.fixed_dictionaries({
+    "item_id": _mostly(st.sampled_from(["10", " 11 ", "12", 13])),
+}, optional={
+    "item_name": _mostly(st.sampled_from(["CS", "Garry's Mod"])),
+    "playtime_forever": _mostly(st.integers(0, 600) | st.floats(0, 600)),
+    "playtime_2weeks": _mostly(st.integers(0, 60) | st.none()),
+})
+_RAW_ITEM_RECORDS = st.fixed_dictionaries({
+    "user_id": _mostly(st.sampled_from(["u1", "u2"])),
+    "items": _mostly(st.lists(_mostly(_ITEM_ENTRIES), max_size=3)),
+})
+
+
+@st.composite
+def _raw_item_line(draw):
+    record = draw(_RAW_ITEM_RECORDS)
+    line = json.dumps(record) if draw(st.booleans()) else repr(record)
+    at = draw(st.integers(0, len(line)))
+    how = draw(st.sampled_from(["keep"] * 6 + ["truncate", "insert", "delete"]))
+    if how == "truncate":
+        line = line[:at]
+    elif how == "insert":
+        line = line[:at] + draw(st.sampled_from(list("'\",:[]{}\\ Tn1-"))) + line[at:]
+    elif how == "delete":
+        line = line[:at] + line[at + 1:]
+    return line
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_raw_item_line(), min_size=1, max_size=4))
+def test_any_raw_items_file_exits_0_or_1_with_one_error_line(capsys, lines):
+    with tempfile.TemporaryDirectory() as work:
+        items = Path(work) / "items.jsonl"
+        items.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for argv in (["stats", "--items", str(items)],
+                     ["ingest", "--items", str(items), "--out-dir", str(Path(work) / "out")]):
+            capsys.readouterr()
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code in (0, 1)
+            if code == 1:
+                assert captured.err.count("\n") == 1 and captured.err.startswith("steamrec: ")

@@ -1,8 +1,11 @@
 import ast
+import dataclasses
 import json
 import random
 import re
 import string
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,8 +26,12 @@ from steamrec import (
 )
 from steamrec.ingest import (
     IdIndex,
+    Interactions,
     _literal_to_json,
     _loads_tolerant,
+    _parse_item_id,
+    _parse_playtime,
+    _require,
     interaction_from_dict,
     interaction_to_dict,
     read_interactions_any,
@@ -686,3 +693,190 @@ def test_columnar_table_matches_per_record_references(interactions, reviews):
 
     got, expected = match_reviews(table, reviews), _reference_match(table, reviews)
     assert list(got[0].items()) == list(expected[0].items()) and got[1] == expected[1]
+
+
+# -- the columnar readers against the per-record loops they replaced -------------
+
+def reference_parse_user_items(lines):
+    """One Interaction per item entry, merged by a (user, item) dict: the larger
+    ``playtime_forever`` wins and a pair keeps its first position."""
+    seen = {}
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        record = _loads_tolerant(line, lineno)
+        if not isinstance(record, dict):
+            raise ParseError(lineno, "record is not an object")
+        user_id = str(_require(record, "user_id", lineno))
+        items = record.get("items", [])
+        if not isinstance(items, list):
+            raise FieldError(lineno, "'items' is not a list")
+        for entry in items:
+            if not isinstance(entry, dict):
+                raise FieldError(lineno, "item entry is not an object")
+            interaction = Interaction(
+                user_id=user_id,
+                item_id=_parse_item_id(_require(entry, "item_id", lineno), lineno),
+                item_name=str(entry.get("item_name", "")),
+                playtime_forever=_parse_playtime(
+                    entry.get("playtime_forever", 0), "playtime_forever", lineno
+                ),
+                playtime_2weeks=_parse_playtime(
+                    entry.get("playtime_2weeks", 0), "playtime_2weeks", lineno
+                ),
+            )
+            _keep_larger_playtime(seen, interaction)
+    return list(seen.values())
+
+
+def _keep_larger_playtime(seen, interaction):
+    key = (interaction.user_id, interaction.item_id)
+    prev = seen.get(key)
+    if prev is None or interaction.playtime_forever > prev.playtime_forever:
+        seen[key] = interaction
+
+
+def reference_read_interactions_jsonl(path):
+    """``interaction_from_dict`` of each line, with the same merge."""
+    seen = {}
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                raise ParseError(lineno, "not a JSON value") from None
+            if not isinstance(record, dict):
+                raise ParseError(lineno, "record is not an object")
+            try:
+                interaction = interaction_from_dict(record)
+            except KeyError as exc:
+                raise FieldError(lineno, f"missing required field {exc.args[0]!r}") from None
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise FieldError(lineno, str(exc)) from None
+            _keep_larger_playtime(seen, interaction)
+    return list(seen.values())
+
+
+def read_outcome(read, source):
+    """The rows with their exact types (repr tells 1 from 1.0 and True), or the
+    error's type, text and line number."""
+    try:
+        return "rows", repr([dataclasses.astuple(inter) for inter in read(source)])
+    except ParseError as exc:
+        return "error", type(exc).__name__, str(exc), exc.line_number
+
+
+_USERS = st.sampled_from(["u1", "u2", "ü 3", "u1 "])
+_MISSING = object()
+_PLAYTIMES = st.integers(0, 500) | st.floats(0, 1e300) | st.sampled_from(
+    [None, True, "5", _MISSING]
+)
+# Values the raw parser accepts, and values it rejects (or, for a missing
+# item_id, a key it requires).
+_RAW_VALID = {
+    "item_id": st.sampled_from(["10", "11", 10, 11, " 10 ", "0"]),
+    "item_name": st.sampled_from(["CS", "Garry's Mod", '日本 \\ "', "", 7, _MISSING]),
+    "playtime_forever": _PLAYTIMES,
+    "playtime_2weeks": _PLAYTIMES,
+}
+_BAD_PLAYTIMES = st.sampled_from(["x", -1, float("nan"), 1e999, [1]])
+_RAW_INVALID = {
+    "item_id": st.sampled_from(["-3", -3, "abc", "1.5", 1.5, None, _MISSING]),
+    "item_name": _RAW_VALID["item_name"],
+    "playtime_forever": _BAD_PLAYTIMES,
+    "playtime_2weeks": _BAD_PLAYTIMES,
+}
+_FLAT_VALID = {
+    "user_id": _USERS,
+    "item_id": st.sampled_from([10, 11, 12]),
+    "item_name": st.sampled_from(["CS", 'Café "x"', ""]),
+    "playtime_forever": st.integers(0, 500) | st.floats(0, 500),
+    "playtime_2weeks": st.integers(0, 500) | st.floats(0, 500),
+}
+_FLAT_INVALID = {
+    "user_id": st.sampled_from([None, 7, _MISSING]),
+    "item_id": st.sampled_from(["10", True, 1.0, _MISSING]),
+    "item_name": st.sampled_from([None, 3, _MISSING]),
+    "playtime_forever": st.sampled_from(["5", -1, float("nan"), 10**400, None, False]),
+    "playtime_2weeks": st.sampled_from([-0.5, float("inf"), _MISSING]),
+}
+
+
+def _present(values):
+    return {key: value for key, value in values.items() if value is not _MISSING}
+
+
+@st.composite
+def _records(draw, valid, invalid):
+    """Records over few users and items, so pairs repeat within and across lines.
+    Without ``invalid``, or in half the examples, every value is valid; in the
+    other half each value is invalid one time in five."""
+    bad = invalid is not None and draw(st.booleans())
+
+    def values():
+        return _present({key: draw(invalid[key] if bad and draw(st.integers(0, 4)) == 0
+                                   else valid[key]) for key in valid})
+
+    return [values() for _ in range(draw(st.integers(0, 8)))], bad
+
+
+@st.composite
+def _raw_lines(draw, invalid=_RAW_INVALID):
+    entries, bad = draw(_records(_RAW_VALID, invalid))
+    lines = [draw(st.sampled_from(["", '{"user_id": "u2", "items": []}', "{'user_id': 'u1'}"]))]
+    while entries:
+        count = draw(st.integers(1, 3))
+        record = {"user_id": draw(_USERS), "items": entries[:count]}
+        entries = entries[count:]
+        if bad and draw(st.integers(0, 9)) == 0:
+            record = draw(st.sampled_from([{"items": []}, {"user_id": "u1", "items": 3},
+                                           {"user_id": "u1", "items": [1]}, [record]]))
+        line = json.dumps(record) if draw(st.booleans()) else repr(record)
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=_raw_lines())
+def test_parse_user_items_equals_the_per_record_reference(lines):
+    assert read_outcome(parse_user_items, lines) == read_outcome(
+        reference_parse_user_items, lines
+    )
+
+
+@st.composite
+def _flat_lines(draw):
+    records, bad = draw(_records(_FLAT_VALID, _FLAT_INVALID))
+    lines = [json.dumps(record) for record in records]
+    if bad and draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "   ", "[1]", "{oops", "NaN"])))
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=_flat_lines())
+def test_read_interactions_jsonl_equals_the_per_record_reference(lines):
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "flat.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        outcome = read_outcome(read_interactions_jsonl, path)
+        assert outcome == read_outcome(reference_read_interactions_jsonl, path)
+        if outcome[0] == "rows":  # integer playtimes read as floats
+            read = read_interactions_jsonl(path)
+            assert {type(v) for v in read.playtime_forever + read.playtime_2weeks} <= {float}
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=_raw_lines(invalid=None))
+def test_write_then_read_is_the_identity(lines):
+    interactions = parse_user_items(lines)
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "flat.jsonl"
+        write_interactions_jsonl(interactions, path)
+        again = read_interactions_jsonl(path)
+    assert isinstance(again, Interactions)
+    assert repr(again.columns) == repr(interactions.columns)
