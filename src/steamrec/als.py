@@ -109,22 +109,23 @@ class LossTrace:
 
 
 def _as_array(ratings) -> np.ndarray:
-    """Coerce RatingTriples / tuples / an (N, 3) array to float64 columns (u, i, r)."""
-    if isinstance(ratings, np.ndarray):
-        arr = np.asarray(ratings, dtype=np.float64)
-    else:
-        rows = [
-            (t.user_index, t.item_index, t.rating)
-            if hasattr(t, "user_index")
-            else (t[0], t[1], t[2])
-            for t in ratings
-        ]
-        arr = np.asarray(rows, dtype=np.float64)
+    """An (N, 3) array-like of (user_index, item_index, rating) rows as float64.
+
+    An array, a list of RatingTriples and a list of plain tuples all convert
+    the same way; a row with another number of fields is a ValueError.
+    """
+    arr = np.asarray(ratings, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("ratings must be nonempty")
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError("ratings must be triples of (user_index, item_index, rating)")
     return arr
+
+
+def _columns(ratings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The user and item index columns (intp) and the rating column of ``ratings``."""
+    arr = _as_array(ratings)
+    return arr[:, 0].astype(np.intp), arr[:, 1].astype(np.intp), arr[:, 2]
 
 
 def init_model(num_users: int, num_items: int, config: TrainConfig) -> FactorModel:
@@ -162,18 +163,14 @@ def _group(indices: np.ndarray, partners: np.ndarray, values: np.ndarray, size: 
 
 def group_by_user(ratings, num_users: int) -> RatingGroups:
     """Per-user (item_indices, ratings) arrays, index-sorted and deterministic."""
-    arr = _as_array(ratings)
-    users = arr[:, 0].astype(np.intp)
-    items = arr[:, 1].astype(np.intp)
-    return _group(users, items, arr[:, 2], num_users)
+    users, items, values = _columns(ratings)
+    return _group(users, items, values, num_users)
 
 
 def group_by_item(ratings, num_items: int) -> RatingGroups:
     """Per-item (user_indices, ratings) arrays, index-sorted and deterministic."""
-    arr = _as_array(ratings)
-    users = arr[:, 0].astype(np.intp)
-    items = arr[:, 1].astype(np.intp)
-    return _group(items, users, arr[:, 2], num_items)
+    users, items, values = _columns(ratings)
+    return _group(items, users, values, num_items)
 
 
 def _cholesky_solve(normal: np.ndarray, rhs: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -256,7 +253,7 @@ def objective(
     regularization: float,
 ) -> float:
     """Weighted-regularization training objective J over the observed triples."""
-    return _Observed(_as_array(ratings), len(user_factors), len(item_factors)).objective(
+    return _Observed(ratings, len(user_factors), len(item_factors)).objective(
         user_factors, item_factors, regularization
     )
 
@@ -265,10 +262,8 @@ class _Observed:
     """The parts of the objective that the factors do not change: index
     columns, ratings and per-row observation counts."""
 
-    def __init__(self, arr: np.ndarray, num_users: int, num_items: int):
-        self.users = arr[:, 0].astype(np.intp)
-        self.items = arr[:, 1].astype(np.intp)
-        self.values = arr[:, 2]
+    def __init__(self, ratings, num_users: int, num_items: int):
+        self.users, self.items, self.values = _columns(ratings)
         self.user_counts = np.bincount(self.users, minlength=num_users)
         self.item_counts = np.bincount(self.items, minlength=num_items)
 
@@ -300,7 +295,8 @@ def train(
     """Run ``config.iterations`` full sweeps of alternating half-steps.
 
     Args:
-        ratings: RatingTriples or an (N, 3) array of (user, item, rating).
+        ratings: an (N, 3) array-like of (user, item, rating) rows, such as
+            an array or a list of RatingTriples.
         num_users / num_items: matrix dimensions; every index must be in range.
         config: rank, iterations, regularization, seed.
         initial: start from these factors instead of a fresh seeded init.
@@ -368,11 +364,9 @@ def predict(model: FactorModel, user_index: int, item_index: int) -> float:
 
 def train_rmse(model: FactorModel, ratings) -> float:
     """Root mean squared residual of the model on the given triples."""
-    arr = _as_array(ratings)
-    users = arr[:, 0].astype(np.intp)
-    items = arr[:, 1].astype(np.intp)
+    users, items, values = _columns(ratings)
     preds = np.einsum("ij,ij->i", model.user_factors[users], model.item_factors[items])
-    return float(np.sqrt(np.mean((arr[:, 2] - preds) ** 2)))
+    return float(np.sqrt(np.mean((values - preds) ** 2)))
 
 
 _MODEL_FORMAT = "als-factor-model"

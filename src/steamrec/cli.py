@@ -65,6 +65,11 @@ def _check_reviews(strategy: ratings.Strategy, reviews_path: str | None) -> None
         raise ConfigError(f"strategy {strategy.value!r} requires a reviews file")
 
 
+# The config file's top-level keys; "workers" is accepted and ignored.
+_CONFIG_KEYS = {"items", "out_dir", "reviews", "lexicon", "strategy", "train", "split", "k",
+                "users", "workers"}
+
+
 @dataclass
 class RunConfig:
     """Pipeline run configuration; mirrors the JSON config file."""
@@ -93,6 +98,9 @@ class RunConfig:
     def from_mapping(cls, data: dict) -> "RunConfig":
         """Build from the config file's JSON value; a value of the wrong type is a ConfigError."""
         check_type(data, dict, "the run configuration")
+        unknown = sorted(set(data) - _CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown top-level keys: {unknown}")
         train_cfg = dict(check_type(data.get("train", {}), dict, "'train'"))
         if "lambda" in train_cfg:
             train_cfg["regularization"] = train_cfg.pop("lambda")

@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .als import FactorModel, TrainConfig, _as_array, row_dots, train
+from .als import FactorModel, TrainConfig, _as_array, _columns, row_dots, train
 from .errors import ConfigError, EvaluationError
 from .ingest import InteractionTable, Review
 from .sentiment import ClassCounts, Lexicon, bundled_lexicon, class_counts
@@ -41,13 +41,15 @@ class EvalReport:
         return dataclasses.asdict(self)
 
 
-def split(ratings: Sequence, config: SplitConfig):
+def split(ratings: Sequence, config: SplitConfig) -> tuple[np.ndarray, np.ndarray]:
     """Seeded uniform shuffle, then cut at floor(fraction * N).
 
-    Both sides must be nonempty; a fraction that empties one side is a
-    ConfigError.  The same seed always produces the same partition.
+    Returns the train and test rows as arrays, whatever array-like of rows
+    came in.  Both sides must be nonempty; a fraction that empties one side
+    is a ConfigError.  The same seed always produces the same partition.
     """
-    n = len(ratings)
+    rows = np.asarray(ratings)
+    n = len(rows)
     if n < 2:
         raise ConfigError("need at least 2 ratings to split")
     cut = math.floor(config.fraction * n)
@@ -56,16 +58,7 @@ def split(ratings: Sequence, config: SplitConfig):
             f"fraction {config.fraction} leaves an empty side for {n} ratings"
         )
     perm = np.random.default_rng(config.seed).permutation(n)
-    if isinstance(ratings, np.ndarray):
-        return ratings[perm[:cut]], ratings[perm[cut:]]
-    train_part = [ratings[j] for j in perm[:cut]]
-    test_part = [ratings[j] for j in perm[cut:]]
-    return train_part, test_part
-
-
-def _columns(ratings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    arr = _as_array(ratings)
-    return arr[:, 0].astype(np.intp), arr[:, 1].astype(np.intp), arr[:, 2]
+    return rows[perm[:cut]], rows[perm[cut:]]
 
 
 def rmse(

@@ -106,22 +106,25 @@ class Interactions(Sequence):
 
 def _merged(rows: Iterable[Sequence]) -> Interactions:
     """One row per (user, item) pair, at the pair's first position, holding the
-    values of its first row with the largest ``playtime_forever``."""
+    values of its first row with the largest ``playtime_forever``.  Equal user
+    ids and names share one string object."""
     merged = Interactions()
     users, items, names, forever, recent = merged.columns
     position: dict[str, dict[int, int]] = {}  # user -> item -> row index
+    strings: dict[str, str] = {}
     for user_id, item_id, name, played, played_2weeks in rows:
         user_rows = position.setdefault(user_id, {})
         at = user_rows.get(item_id)
         if at is None:
             user_rows[item_id] = len(users)
-            users.append(user_id)
+            users.append(strings.setdefault(user_id, user_id))
             items.append(item_id)
-            names.append(name)
+            names.append(strings.setdefault(name, name))
             forever.append(played)
             recent.append(played_2weeks)
         elif played > forever[at]:
-            names[at], forever[at], recent[at] = name, played, played_2weeks
+            names[at] = strings.setdefault(name, name)
+            forever[at], recent[at] = played, played_2weeks
     return merged
 
 
@@ -158,11 +161,13 @@ def _loads_tolerant(line: str, lineno: int) -> Any:
     A Python-literal line is decoded through :func:`_literal_to_json` when
     it can be, and by ``ast.literal_eval`` otherwise; both give the same
     value for every line the translation accepts.  A line ``literal_eval``
-    refuses, an unhashable set member or dict key included, is a ParseError.
+    refuses, an unhashable set member or dict key included, is a ParseError,
+    and so is a line JSON refuses for its limits (an integer of more than
+    4300 digits, too deep a nesting) that ``literal_eval`` refuses too.
     """
     try:
         return json.loads(line)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
         pass
     translated = _literal_to_json(line)
     if translated is not None:
@@ -260,18 +265,17 @@ def parse_user_items(lines: Iterable[str]) -> Interactions:
     )
 
 
-def parse_reviews(lines: Iterable[str]) -> list[Review]:
-    """Flatten a stream of user-reviews records into one Review per pair.
+def _last_per_pair(reviews: Iterable[Review]) -> list[Review]:
+    """One review per (user, item) pair: its last, at the pair's first position."""
+    return list({(r.user_id, r.item_id): r for r in reviews}.values())
 
-    Later duplicates of the same (user, item) overwrite earlier ones.  A
-    review entry without a ``recommend`` flag is a :class:`FieldError`.
-    """
-    seen: dict[tuple[str, int], Review] = {}
+
+def _nested_reviews(lines: Iterable[str]) -> Iterator[Review]:
     for lineno, user_id, entry in _entries(lines, "reviews"):
         if "recommend" not in entry and "recommended" not in entry:
             raise FieldError(lineno, "missing required field 'recommend'")
         recommended = entry.get("recommend", entry.get("recommended"))
-        review = Review(
+        yield Review(
             user_id=user_id,
             item_id=_parse_item_id(_require(entry, "item_id", lineno), lineno),
             text=str(entry.get("review", "")),
@@ -280,8 +284,16 @@ def parse_reviews(lines: Iterable[str]) -> list[Review]:
             helpful=_parse_count(entry.get("helpful")),
             posted=str(entry.get("posted", "")),
         )
-        seen[(review.user_id, review.item_id)] = review
-    return list(seen.values())
+
+
+def parse_reviews(lines: Iterable[str]) -> list[Review]:
+    """Flatten a stream of user-reviews records into one Review per pair.
+
+    A repeated (user, item) pair keeps its last review, at the pair's first
+    position.  A review entry without a ``recommend`` flag is a
+    :class:`FieldError`.
+    """
+    return _last_per_pair(_nested_reviews(lines))
 
 
 class IdIndex:
@@ -499,7 +511,8 @@ def write_reviews_jsonl(reviews: Iterable[Review], path: str | Path) -> None:
 
 
 def read_reviews_jsonl(path: str | Path) -> list[Review]:
-    return list(_flat_records(path, review_from_dict))
+    """Read a flat reviews.jsonl; repeated pairs merge as in :func:`parse_reviews`."""
+    return _last_per_pair(_flat_records(path, review_from_dict))
 
 
 def _sniff_key(path: str | Path, key: str) -> bool:

@@ -8,7 +8,7 @@ the explicit recommend flag.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from pathlib import Path
 from typing import Iterable
@@ -30,15 +30,21 @@ class Strategy(str, Enum):
     PLAYTIME_RECOMMEND = "recommend"
 
 
-@dataclass(frozen=True)
-class RatingTriple:
-    user_index: int
-    item_index: int
-    rating: int
+class RatingTriple(namedtuple("RatingTriple", RATINGS_CSV_HEADER)):
+    """One (user_index, item_index, rating) row with a 1..5 rating.
 
-    def __post_init__(self):
-        if self.rating not in (1, 2, 3, 4, 5):
-            raise ValueError(f"rating {self.rating} outside 1..5")
+    Being a tuple, a list of them converts to an (N, 3) array with ``np.asarray``."""
+
+    __slots__ = ()
+
+    def __new__(cls, user_index: int, item_index: int, rating: int):
+        _check_rating(rating)
+        return super().__new__(cls, user_index, item_index, rating)
+
+    @classmethod
+    def _make(cls, iterable) -> RatingTriple:
+        """Checked like the constructor; ``_replace`` goes through here too."""
+        return cls(*iterable)
 
 
 def _item_medians(items: np.ndarray, playtimes: np.ndarray, num_items: int) -> np.ndarray:
@@ -206,11 +212,8 @@ def derive(
 
 
 def write_ratings_csv(triples, path: str | Path) -> None:
-    """Write ``ratings.csv`` from an (N, 3) integer array or RatingTriples."""
-    if not isinstance(triples, np.ndarray):
-        triples = np.array(
-            [(t.user_index, t.item_index, t.rating) for t in triples], dtype=np.int64
-        ).reshape(-1, 3)
+    """Write ``ratings.csv`` from an (N, 3) array-like of integer rows."""
+    triples = np.asarray(triples)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(RATINGS_CSV_HEADER) + "\n")
         for lo in range(0, len(triples), _CSV_CHUNK):

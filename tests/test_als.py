@@ -315,6 +315,21 @@ def test_train_validates_inputs():
         train([(0, 0, 3.0)], 2, 2, config, initial=bad_initial)
 
 
+@pytest.mark.parametrize(
+    "rows", [[(0, 0, 4.0, 99)], np.array([[0, 0, 4.0, 99]])], ids=["list", "array"]
+)
+def test_a_row_with_extra_fields_is_rejected_in_every_form(rows):
+    model = init_model(1, 1, TrainConfig(rank=1))
+    for call in (
+        lambda: train(rows, 1, 1, TrainConfig(rank=1)),
+        lambda: objective(model.user_factors, model.item_factors, rows, 0.1),
+        lambda: train_rmse(model, rows),
+        lambda: group_by_user(rows, 1),
+    ):
+        with pytest.raises(ValueError, match="ratings must be triples"):
+            call()
+
+
 def test_planted_rank_three_recovery():
     arr = planted_ratings(seed=42)
     config = TrainConfig(rank=3, iterations=10, regularization=0.01, seed=42)

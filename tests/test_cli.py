@@ -310,6 +310,7 @@ _RUNNABLE_CONFIG = {"items": str(DATA_DIR / "pipeline_items.jsonl"), "out_dir": 
         ({**_VALID_CONFIG, "train": 5}, ["--rank", "3"], "'train' must be an object"),
         ({**_VALID_CONFIG, "split": [0.8]}, [], "'split' must be an object"),
         ({**_VALID_CONFIG, "split": {"fractoin": 0.5}}, [], "unknown 'split' keys"),
+        ({**_RUNNABLE_CONFIG, "strategey": "sentiment"}, [], "unknown top-level keys"),
         ({**_VALID_CONFIG, "k": "5"}, [], "'k' must be an integer"),
         ({**_VALID_CONFIG, "k": True}, [], "'k' must be an integer"),
         ({**_VALID_CONFIG, "users": "player01"}, [], "'users' must be a list or null"),
@@ -412,6 +413,54 @@ def test_literal_line_with_an_unhashable_key_is_one_line_error(tmp_path, capsys)
     assert code == 1
     assert captured.out == ""
     assert captured.err == "steamrec: error: line 1: not strict JSON nor a Python literal\n"
+
+
+@pytest.mark.parametrize(
+    "second_line",
+    [
+        # json.loads refuses an integer of more than 4300 digits with a plain ValueError
+        '{"user_id": "u2", "items": [{"item_id": "10", "playtime_forever": %s}]}' % ("9" * 5000),
+        # and too deep a nesting with a RecursionError
+        '{"user_id": "u2", "items": %s}' % ("[" * 100_000 + "]" * 100_000),
+    ],
+    ids=["huge-integer", "deep-nesting"],
+)
+def test_line_json_refuses_for_its_limits_is_one_line_error_naming_it(
+    tmp_path, capsys, second_line
+):
+    path = tmp_path / "items.json"
+    first_line = '{"user_id": "u1", "items": [{"item_id": "10", "playtime_forever": 5}]}'
+    path.write_text(first_line + "\n" + second_line + "\n", encoding="utf-8")
+    code = main(["stats", "--items", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "steamrec: error: line 2: not strict JSON nor a Python literal\n"
+
+
+def test_flat_and_raw_reviews_with_a_repeated_pair_report_the_same_stats(tmp_path, capsys):
+    items = tmp_path / "items.jsonl"
+    items.write_text(_FLAT_INTERACTION + "\n", encoding="utf-8")
+    texts = [("great fun", True), ("awful boring", False)]
+    raw = tmp_path / "raw_reviews.json"
+    raw.write_text(json.dumps({"user_id": "u1", "reviews": [
+        {"item_id": "10", "review": text, "recommend": flag} for text, flag in texts
+    ]}) + "\n", encoding="utf-8")
+    flat = tmp_path / "reviews.jsonl"
+    flat.write_text("".join(
+        json.dumps({"user_id": "u1", "item_id": 10, "text": text, "recommended": flag,
+                    "funny": 0, "helpful": 0, "posted": ""}) + "\n"
+        for text, flag in texts
+    ), encoding="utf-8")
+    capsys.readouterr()
+    outputs = []
+    for reviews in (raw, flat):
+        assert main(["stats", "--items", str(items), "--reviews", str(reviews)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    # the pair keeps its last review
+    assert "reviews:               1\n" in outputs[1]
+    assert "0 positive / 0 neutral / 1 negative" in outputs[1]
 
 
 def test_subcommand_chain_reproduces_pipeline_artifacts(tmp_path, capsys):

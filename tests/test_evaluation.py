@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steamrec import (
     ConfigError,
@@ -9,8 +14,9 @@ from steamrec import (
     SplitConfig,
     split,
     stats,
+    write_ratings_csv,
 )
-from steamrec.als import FactorModel, TrainConfig, predict
+from steamrec.als import FactorModel, TrainConfig, predict, train
 from steamrec.evaluation import evaluate, format_stats, rmse, sweep, sweep_csv
 from steamrec.sentiment import Lexicon
 
@@ -29,16 +35,48 @@ def test_split_deterministic_per_seed():
     ratings = [RatingTriple(u, 0, 3) for u in range(30)]
     a = split(ratings, SplitConfig(seed=7))
     b = split(ratings, SplitConfig(seed=7))
-    assert a == b
+    assert all(map(np.array_equal, a, b))
     c = split(ratings, SplitConfig(seed=8))
-    assert a != c
+    assert not all(map(np.array_equal, a, c))
 
 
 def test_split_is_a_partition():
     ratings = [RatingTriple(u, i, 1 + (u + i) % 5) for u in range(6) for i in range(5)]
     train_part, test_part = split(ratings, SplitConfig(fraction=0.7, seed=1))
-    assert sorted(map(repr, train_part + test_part)) == sorted(map(repr, ratings))
-    assert not set(map(repr, train_part)) & set(map(repr, test_part))
+    rows = np.concatenate([train_part, test_part]).tolist()
+    assert sorted(map(tuple, rows)) == sorted(ratings)
+    assert not set(map(tuple, train_part.tolist())) & set(map(tuple, test_part.tolist()))
+
+
+_rating_rows = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 5)), min_size=2, max_size=30
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_rating_rows, seed=st.integers(0, 2**32 - 1))
+def test_every_form_of_the_same_rows_gives_the_same_results(rows, seed):
+    int_rows = np.array(rows, dtype=np.int64)
+    forms = [int_rows, int_rows.astype(np.float64), [RatingTriple(*r) for r in rows], rows]
+    config = TrainConfig(rank=2, iterations=2, regularization=0.1, seed=seed % 1000)
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, form in enumerate(forms):
+            model, trace = train(form, 6, 6, config)
+            path = Path(tmp) / f"ratings{n}.csv"
+            write_ratings_csv(form, path)
+            results.append((
+                model, trace.values, split(form, SplitConfig(fraction=0.5, seed=seed)),
+                rmse(model, form, form).to_dict(), path.read_bytes(),
+            ))
+    model, trace, parts, report, csv_bytes = results[0]
+    for other_model, other_trace, other_parts, other_report, other_bytes in results[1:]:
+        assert np.array_equal(other_model.user_factors, model.user_factors)
+        assert np.array_equal(other_model.item_factors, model.item_factors)
+        assert other_trace == trace
+        assert all(map(np.array_equal, other_parts, parts))
+        assert other_report == report
+        assert other_bytes == csv_bytes
 
 
 def test_split_single_rating_is_config_error():

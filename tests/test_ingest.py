@@ -540,6 +540,23 @@ def test_id_index_out_of_range():
         index.user_index("missing")
 
 
+def test_both_readers_keep_one_string_object_per_distinct_id_and_name(tmp_path):
+    names = ["Portal Two", "Cave Cartographer", "Night Harvest"]
+    raw = [
+        json.dumps({"user_id": f"user{u % 3}", "items": [
+            {"item_id": str(10 * u + i), "item_name": names[i], "playtime_forever": u + i}
+            for i in range(3)
+        ]})
+        for u in range(9)
+    ]
+    flat = tmp_path / "interactions.jsonl"
+    write_interactions_jsonl(parse_user_items(raw), flat)
+    for interactions in (parse_user_items(raw), read_interactions_jsonl(flat)):
+        for column in (interactions.user_id, interactions.item_name):
+            assert len(column) == 27
+            assert len({id(value) for value in column}) == len(set(column)) == 3
+
+
 # -- build_table ---------------------------------------------------------------
 
 def test_flattening_preserves_count():

@@ -145,6 +145,17 @@ def test_adjustments_reject_bad_rating():
 def test_rating_triple_validates():
     with pytest.raises(ValueError):
         RatingTriple(0, 0, 6)
+    with pytest.raises(ValueError):
+        RatingTriple(0, 0, 5)._replace(rating=6)
+    with pytest.raises(ValueError):
+        RatingTriple._make((0, 0, 0))
+
+
+def test_rating_triple_is_a_tuple_row():
+    triple = RatingTriple(3, 1, 5)
+    assert triple == (3, 1, 5) and triple.rating == 5
+    assert repr(triple) == "RatingTriple(user_index=3, item_index=1, rating=5)"
+    assert np.asarray([triple, RatingTriple(0, 2, 1)]).tolist() == [[3, 1, 5], [0, 2, 1]]
 
 
 # -- derive ----------------------------------------------------------------------
