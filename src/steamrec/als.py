@@ -108,17 +108,34 @@ class LossTrace:
         )
 
 
-def _as_array(ratings) -> np.ndarray:
-    """An (N, 3) array-like of (user_index, item_index, rating) rows as float64.
+_NOT_TRIPLES = "ratings must be triples of (user_index, item_index, rating)"
+
+
+def _triples(ratings, dtype=None) -> np.ndarray:
+    """An (N, 3) array-like of (user_index, item_index, rating) rows as an array.
 
     An array, a list of RatingTriples and a list of plain tuples all convert
-    the same way; a row with another number of fields is a ValueError.
+    the same way; a row with another number of fields, in any position, is a
+    ValueError.  An empty input gives a (0, 3) array.
     """
-    arr = np.asarray(ratings, dtype=np.float64)
+    try:
+        arr = np.asarray(ratings, dtype=dtype)
+    except ValueError:
+        if np.asarray(ratings, dtype=object).ndim > 1:
+            raise  # rows of one width holding a value that is not a number
+        raise ValueError(_NOT_TRIPLES) from None
+    if arr.size == 0:
+        return arr.reshape(0, 3)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError(_NOT_TRIPLES)
+    return arr
+
+
+def _as_array(ratings) -> np.ndarray:
+    """``_triples`` as float64, which must be nonempty."""
+    arr = _triples(ratings, np.float64)
     if arr.size == 0:
         raise ValueError("ratings must be nonempty")
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError("ratings must be triples of (user_index, item_index, rating)")
     return arr
 
 
@@ -348,7 +365,9 @@ def row_dots(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
     Every score in the package comes from this one kernel, so ``predict``,
     ``top_k`` and ``rmse`` agree to the bit.  (``np.dot`` and matrix-vector
-    products round differently from one another.)
+    products round differently from one another.)  ``top_k`` also runs a
+    matrix-vector product over the catalogue, but only as a filter: it picks
+    the items this kernel rescores, and its values are never a score.
     """
     return (left * right).sum(axis=-1)
 

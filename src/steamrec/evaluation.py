@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .als import FactorModel, TrainConfig, _as_array, _columns, row_dots, train
+from .als import FactorModel, TrainConfig, _as_array, _columns, _triples, row_dots, train
 from .errors import ConfigError, EvaluationError
 from .ingest import InteractionTable, Review
 from .sentiment import ClassCounts, Lexicon, bundled_lexicon, class_counts
@@ -45,10 +45,11 @@ def split(ratings: Sequence, config: SplitConfig) -> tuple[np.ndarray, np.ndarra
     """Seeded uniform shuffle, then cut at floor(fraction * N).
 
     Returns the train and test rows as arrays, whatever array-like of rows
-    came in.  Both sides must be nonempty; a fraction that empties one side
-    is a ConfigError.  The same seed always produces the same partition.
+    came in; a row that is not a triple is a ValueError.  Both sides must be
+    nonempty; a fraction that empties one side is a ConfigError.  The same
+    seed always produces the same partition.
     """
-    rows = np.asarray(ratings)
+    rows = _triples(ratings)
     n = len(rows)
     if n < 2:
         raise ConfigError("need at least 2 ratings to split")

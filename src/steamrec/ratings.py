@@ -15,6 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .als import _triples
 from .ingest import InteractionTable, Review
 from .sentiment import Lexicon, SentimentClass, classify, score
 
@@ -212,8 +213,11 @@ def derive(
 
 
 def write_ratings_csv(triples, path: str | Path) -> None:
-    """Write ``ratings.csv`` from an (N, 3) array-like of integer rows."""
-    triples = np.asarray(triples)
+    """Write ``ratings.csv`` from an (N, 3) array-like of integer rows.
+
+    A row that is not a triple is a ValueError, raised before the file is opened.
+    """
+    triples = _triples(triples)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(RATINGS_CSV_HEADER) + "\n")
         for lo in range(0, len(triples), _CSV_CHUNK):

@@ -316,7 +316,9 @@ def test_train_validates_inputs():
 
 
 @pytest.mark.parametrize(
-    "rows", [[(0, 0, 4.0, 99)], np.array([[0, 0, 4.0, 99]])], ids=["list", "array"]
+    "rows",
+    [[(0, 0, 4.0, 99)], np.array([[0, 0, 4.0, 99]]), [(0, 0, 4.0), (0, 0, 4.0, 99)]],
+    ids=["list", "array", "ragged"],
 )
 def test_a_row_with_extra_fields_is_rejected_in_every_form(rows):
     model = init_model(1, 1, TrainConfig(rank=1))

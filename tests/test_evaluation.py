@@ -48,6 +48,17 @@ def test_split_is_a_partition():
     assert not set(map(tuple, train_part.tolist())) & set(map(tuple, test_part.tolist()))
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [[(0, 0, 4, 99)] * 4, [(0, 0, 4), (1, 1, 3, 99)] * 2, np.array([[0, 0, 4, 99]] * 4)],
+    ids=["wide", "ragged", "wide-array"],
+)
+def test_split_rejects_rows_that_are_not_triples(rows):
+    message = r"ratings must be triples of \(user_index, item_index, rating\)"
+    with pytest.raises(ValueError, match=message):
+        split(rows, SplitConfig())
+
+
 _rating_rows = st.lists(
     st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 5)), min_size=2, max_size=30
 )

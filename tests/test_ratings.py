@@ -259,6 +259,18 @@ def test_ratings_csv_round_trip(tmp_path):
     assert read_ratings_csv(path) == triples
 
 
+@pytest.mark.parametrize(
+    "rows", [[(0, 0, 4, 99)], [(0, 0, 4), (1, 1, 3, 99)], np.array([[0, 0, 4, 99]])],
+    ids=["wide", "ragged", "wide-array"],
+)
+def test_ratings_csv_rejects_rows_that_are_not_triples(tmp_path, rows):
+    path = tmp_path / "ratings.csv"
+    message = r"ratings must be triples of \(user_index, item_index, rating\)"
+    with pytest.raises(ValueError, match=message):
+        write_ratings_csv(rows, path)
+    assert not path.exists()
+
+
 def test_ratings_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steamrec import batch_recommend, top_k
 from steamrec.als import FactorModel, predict
+from steamrec.recommend import Recommendation
 
 from .conftest import make_interaction, table_from_playtimes
 from steamrec import build_table
@@ -183,3 +186,99 @@ def test_model_and_table_shapes_must_match():
             top_k(model, table, 0, 2)
         with pytest.raises(ValueError, match="items"):
             batch_recommend(model, table, ["a"], k=2)
+
+
+# Factor magnitudes: 1e-160 squared gives subnormal products, 1e154 squared
+# sums past the largest float, and 1e200 squared overflows every product.
+_SCALES = (1.0, 1e-160, 1e154, 1e200)
+
+
+@st.composite
+def _adversarial_catalogs(draw):
+    """A table and a model whose scores crowd the cut of the top k.
+
+    Item rows are a few distinct rows, repeated or nudged by one or two ulps
+    in one coordinate, so many scores tie or sit ulps apart.  The interaction
+    list repeats some (user, item) pairs, so seen entries repeat.  Where
+    products can overflow, every product of a score has one sign, which keeps
+    scores free of NaN.
+    """
+    num_users = draw(st.integers(1, 4))
+    num_items = draw(st.integers(1, 30))
+    rank = draw(st.sampled_from([1, 2, 3, 8, 10, 13, 40]))
+    user_scale, item_scale = draw(st.sampled_from(_SCALES)), draw(st.sampled_from(_SCALES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    distinct = rng.standard_normal((draw(st.integers(1, 4)), rank))
+    items = distinct[rng.integers(0, len(distinct), num_items)]
+    for row in items[rng.random(num_items) < 0.5]:
+        j = rng.integers(rank)
+        for _ in range(rng.integers(1, 3)):
+            row[j] = np.nextafter(row[j], np.inf if rng.random() < 0.5 else -np.inf)
+    users = rng.standard_normal((num_users, rank))
+    if user_scale * item_scale > 1e300:
+        items = np.abs(items)
+        users = np.abs(users) * rng.choice([-1.0, 1.0], size=(num_users, 1))
+
+    order = rng.permutation(num_items)
+    pairs = [(j % num_users, int(order[j % num_items])) for j in range(max(num_users, num_items))]
+    extra = rng.integers(0, [num_users, num_items], size=(3 * num_items, 2))
+    pairs += [(int(u), int(i)) for u, i in extra if rng.random() < 0.3]
+    pairs += [pairs[int(j)] for j in rng.integers(0, len(pairs), draw(st.integers(0, 5)))]
+    table = build_table(
+        [make_interaction(user=f"u{u}", item=i, name=f"game-{i}", forever=1) for u, i in pairs]
+    )
+    model = _model(users * user_scale, items * item_scale)
+    return model, table
+
+
+@settings(max_examples=300, deadline=None)
+@given(_adversarial_catalogs(), st.booleans())
+def test_top_k_matches_oracle_on_adversarial_factors(catalog, exclude_seen):
+    model, table = catalog
+    for u in range(table.num_users):
+        unseen = model.num_items - len(set(table.seen_items(u).tolist()))
+        candidates = unseen if exclude_seen else model.num_items
+        for k in {1, 2, 3, candidates - 1, candidates, candidates + 1, candidates + 4} - {0, -1}:
+            got = [(r.item_index, r.score.hex()) for r in top_k(model, table, u, k, exclude_seen)]
+            expected = _oracle_top_k(model, table, u, k, exclude_seen)
+            assert got == [(i, score.hex()) for i, score in expected]
+
+
+def test_batch_recommend_equals_one_top_k_per_user():
+    rng = np.random.default_rng(17)
+    playtimes = {
+        item: [(f"u{u}", 1 + int(u)) for u in rng.choice(20, 4, replace=False)]
+        for item in range(60)
+    }
+    table = table_from_playtimes(playtimes)
+    model = _model(rng.normal(size=(table.num_users, 10)), rng.normal(size=(table.num_items, 10)))
+    user_ids = table.index.user_ids + ["ghost"]
+    for k in (1, 10, 60):
+        results = batch_recommend(model, table, user_ids, k)
+        assert [r.user_id for r in results] == user_ids
+        for user_id, result in zip(user_ids[:-1], results):
+            expected = top_k(model, table, table.index.user_index(user_id), k)
+            assert result.error is None
+            assert len(result.items) == len(expected)
+            for got, want in zip(result.items, expected):
+                assert got == want  # fields compare with ==, the score as a float
+                assert type(got.score) is float and got.score == want.score
+        assert (results[-1].error, results[-1].items) == ("unknown user id", [])
+
+
+def test_recommendation_is_a_row_with_a_dataclass_repr():
+    rec = Recommendation(position=1, item_index=2, item_id=30, item_name="Gamma", score=0.5)
+    assert repr(rec) == (
+        "Recommendation(position=1, item_index=2, item_id=30, item_name='Gamma', score=0.5)"
+    )
+    assert rec.to_dict() == {"position": 1, "item_id": 30, "item_name": "Gamma", "score": 0.5}
+    assert tuple(rec) == (1, 2, 30, "Gamma", 0.5)
+
+
+def test_a_rank_zero_model_ranks_unseen_items_by_index():
+    table = _catalog_table()
+    model = _model(np.zeros((3, 0)), np.zeros((4, 0)))
+    recs = top_k(model, table, user_index=0, k=1)
+    assert [(r.item_index, r.score) for r in recs] == [(2, 0.0)]
+    assert [r.item_index for r in top_k(model, table, 1, 4, exclude_seen=False)] == [0, 1, 2, 3]
