@@ -291,13 +291,11 @@ class _Observed:
         fit = 0.0
         for lo in range(0, len(values), _OBJECTIVE_CHUNK):
             hi = lo + _OBJECTIVE_CHUNK
-            preds = np.einsum(
-                "ij,ij->i", user_factors[users[lo:hi]], item_factors[items[lo:hi]]
-            )
+            preds = row_dots(user_factors[users[lo:hi]], item_factors[items[lo:hi]])
             fit += float(np.sum((values[lo:hi] - preds) ** 2))
         reg = regularization * (
-            float(self.user_counts @ np.einsum("ij,ij->i", user_factors, user_factors))
-            + float(self.item_counts @ np.einsum("ij,ij->i", item_factors, item_factors))
+            float(self.user_counts @ row_dots(user_factors, user_factors))
+            + float(self.item_counts @ row_dots(item_factors, item_factors))
         )
         return fit + reg
 
@@ -361,15 +359,16 @@ def train(
 
 
 def row_dots(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Dot products along the last axis, ``(left * right).sum(axis=-1)``.
+    """Dot products along the last axis, broadcasting the leading axes.
 
     Every score in the package comes from this one kernel, so ``predict``,
-    ``top_k`` and ``rmse`` agree to the bit.  (``np.dot`` and matrix-vector
-    products round differently from one another.)  ``top_k`` also runs a
-    matrix-vector product over the catalogue, but only as a filter: it picks
-    the items this kernel rescores, and its values are never a score.
+    ``top_k``, ``rmse``, ``train_rmse`` and the objective agree to the bit.
+    ``np.einsum`` without ``optimize`` does not call BLAS: it sums each row's
+    products in the same order whatever the batch, so ``row_dots(V, u)[i]``
+    equals ``row_dots(V[i], u)`` for any strides or memory order of ``V``.
+    (``np.dot`` and matrix-vector products round differently from one another.)
     """
-    return (left * right).sum(axis=-1)
+    return np.einsum("...j,...j->...", left, right)
 
 
 def predict(model: FactorModel, user_index: int, item_index: int) -> float:
@@ -384,7 +383,7 @@ def predict(model: FactorModel, user_index: int, item_index: int) -> float:
 def train_rmse(model: FactorModel, ratings) -> float:
     """Root mean squared residual of the model on the given triples."""
     users, items, values = _columns(ratings)
-    preds = np.einsum("ij,ij->i", model.user_factors[users], model.item_factors[items])
+    preds = row_dots(model.user_factors[users], model.item_factors[items])
     return float(np.sqrt(np.mean((values - preds) ** 2)))
 
 

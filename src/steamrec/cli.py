@@ -57,7 +57,7 @@ def _load_lexicon(path: str | None) -> sentiment.Lexicon:
 
 
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def _check_reviews(strategy: ratings.Strategy, reviews_path: str | None) -> None:

@@ -1,10 +1,7 @@
 """Deterministic top-K item lists from a trained factor model.
 
-``top_k`` scores in two passes.  One matrix-vector product ranks the whole
-catalogue approximately; every item within a proven error bound of the
-k-th best approximate score is then rescored with ``row_dots``, the kernel
-``predict`` uses, and only those exact scores are ranked and returned.  The
-approximate pass decides which items are rescored, never a score or an order.
+``top_k`` scores the whole catalogue with ``row_dots``, the kernel
+``predict`` uses, so every returned score is a ``predict`` value bit for bit.
 """
 
 from __future__ import annotations
@@ -16,12 +13,6 @@ import numpy as np
 
 from .als import FactorModel, row_dots
 from .ingest import InteractionTable
-
-_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
-# Bounds the absolute error of a product that underflows to a subnormal.
-_TINY = np.finfo(np.float64).tiny
-# Below this, no product or partial sum of a score can overflow.
-_SCALE_MAX = np.finfo(np.float64).max / 4
 
 
 class Recommendation(NamedTuple):
@@ -80,10 +71,11 @@ def top_k(
     _check_shapes(model, table)
     if not 0 <= user_index < model.num_users:
         raise IndexError(f"user index {user_index} out of range")
-    user, items = model.user_factors[user_index], model.item_factors
-    seen = table.seen_items(user_index) if exclude_seen else np.empty(0, np.intp)
-    candidates = _candidates(user, items, seen, k)
-    negated = -row_dots(items[candidates], user)
+    unseen = np.ones(model.num_items, dtype=bool)
+    if exclude_seen:
+        unseen[table.seen_items(user_index)] = False
+    candidates = np.flatnonzero(unseen)
+    negated = -row_dots(model.item_factors, model.user_factors[user_index])[candidates]
     if k < len(candidates):
         # Keep every candidate tied with the k-th best, then order by
         # (-score, index) and cut.
@@ -98,49 +90,6 @@ def top_k(
             zip(candidates[order].tolist(), (-negated[order]).tolist()), start=1
         )
     ]
-
-
-def _candidates(user: np.ndarray, items: np.ndarray, seen: np.ndarray, k: int) -> np.ndarray:
-    """Increasing indices of the unseen items that ``row_dots`` must rescore.
-
-    They include every unseen item whose ``row_dots`` score is at least the
-    k-th best, so ranking their exact scores gives the exact top k: an item
-    whose ``items @ user`` value is more than ``_gemv_tolerance`` below the
-    k-th best such value cannot be among them.  When that cut is not finite
-    (factors near overflow or not finite, or fewer than k unseen items),
-    every unseen item is returned.
-    """
-    approx = items @ user
-    approx[seen] = -np.inf
-    n = len(approx)
-    if k < n:
-        cut = np.partition(approx, n - k)[n - k] - _gemv_tolerance(user, items)
-        if np.isfinite(cut):
-            return np.flatnonzero(approx >= cut)
-    return np.delete(np.arange(n), seen)
-
-
-def _gemv_tolerance(user: np.ndarray, items: np.ndarray) -> float:
-    """How far below the k-th best gemv value an exact top-k item can fall; inf
-    when a product or partial sum could overflow.
-
-    Any order of summing r products, with or without fused multiply-adds, is
-    within gamma_r * sum_j |v_j u_j| + r * tiny of the exact dot product,
-    where gamma_r = r u / (1 - r u), u is the unit roundoff and tiny bounds
-    the error of a product that underflows (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2nd ed., section 3.1).  So gemv and ``row_dots``
-    differ by at most delta = 2 (gamma_r ||u||_1 max|V| + r * tiny).  An
-    exact top-k item scores at least the k-th best exact score, which is at
-    least the k-th best gemv value minus delta, so its own gemv value is at
-    least that value minus 2 delta.  The result is 4 delta: a factor 2 covers
-    the rounding of the bound itself.
-    """
-    r = len(user)
-    scale = float(np.abs(user).sum()) * float(np.abs(items).max(initial=0.0))
-    if not scale <= _SCALE_MAX:
-        return np.inf
-    gamma = r * _UNIT_ROUNDOFF / (1 - r * _UNIT_ROUNDOFF)
-    return 8 * (gamma * scale + r * _TINY)
 
 
 def batch_recommend(

@@ -14,6 +14,7 @@ from steamrec.als import (
     load_model,
     objective,
     predict,
+    row_dots,
     save_model,
     solve_half_step,
     train,
@@ -360,6 +361,19 @@ def test_predict_zero_vector_gives_zero():
         regularization=0.0,
     )
     assert all(predict(model, 0, i) == 0.0 for i in range(4))
+
+
+def test_row_dots_gives_each_row_the_bits_of_its_own_call():
+    rng = np.random.default_rng(5)
+    flat = rng.standard_normal(20000 * 64 + 1)
+    user = rng.standard_normal(64)
+    for matrix in (
+        flat[:-1].reshape(20000, 64),
+        flat[1:].reshape(20000, 64),  # a view whose rows start one element in
+        np.asfortranarray(flat[:-1].reshape(20000, 64)),
+    ):
+        rows = np.array([row_dots(row, user) for row in matrix])
+        assert row_dots(matrix, user).tobytes() == rows.tobytes()
 
 
 def test_predict_range_checks():

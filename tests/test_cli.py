@@ -5,12 +5,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import steamrec
 from steamrec import cli
+from steamrec.als import FactorModel, save_model
 from steamrec.cli import RunConfig, build_parser, main, run_pipeline
 from steamrec.errors import ConfigError, PipelineError
 
@@ -225,6 +227,31 @@ def test_recommend_with_corrupt_model_is_one_line_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.count("\n") == 1 and "broken.bin" in captured.err
+
+
+def test_recommend_with_a_nan_score_is_one_line_error(tmp_path, capsys):
+    # finite factors whose products overflow to +inf and -inf: the score is NaN,
+    # which JSON cannot hold
+    flat = tmp_path / "interactions.jsonl"
+    flat.write_text(
+        "".join(
+            json.dumps({"user_id": user, "item_id": item, "item_name": "x",
+                        "playtime_forever": 5.0, "playtime_2weeks": 0.0}) + "\n"
+            for user, item in (("u1", 10), ("u2", 20))
+        ),
+        encoding="utf-8",
+    )
+    model = tmp_path / "model.bin"
+    save_model(FactorModel(user_factors=np.full((2, 2), 1e200),
+                           item_factors=np.array([[1e200, -1e200]] * 2),
+                           rank=2, regularization=0.1), model)
+    capsys.readouterr()
+    code = main(["recommend", "--model", str(model), "--interactions", str(flat),
+                 "--users", "u1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("steamrec: error:")
 
 
 def test_importing_the_cli_does_not_import_scipy():

@@ -233,9 +233,12 @@ def _adversarial_catalogs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_adversarial_catalogs(), st.booleans())
-def test_top_k_matches_oracle_on_adversarial_factors(catalog, exclude_seen):
+@given(_adversarial_catalogs(), st.booleans(), st.booleans())
+def test_top_k_matches_oracle_on_adversarial_factors(catalog, exclude_seen, fortran):
     model, table = catalog
+    if fortran:
+        model.user_factors = np.asfortranarray(model.user_factors)
+        model.item_factors = np.asfortranarray(model.item_factors)
     for u in range(table.num_users):
         unseen = model.num_items - len(set(table.seen_items(u).tolist()))
         candidates = unseen if exclude_seen else model.num_items
