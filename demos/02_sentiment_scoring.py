@@ -2,10 +2,11 @@
 booster words, and the compound squashing into [-1, 1]."""
 
 from steamrec import analyze, bundled_lexicon, class_counts
+from steamrec.sentiment import BOOSTERS, NEGATIONS
 
 lexicon = bundled_lexicon()
 print(f"bundled lexicon: {len(lexicon)} tokens, "
-      f"{len(lexicon.negations)} negations, {len(lexicon.boosters)} boosters\n")
+      f"{len(NEGATIONS)} negations, {len(BOOSTERS)} boosters\n")
 
 SAMPLES = [
     "great game, really fun with friends",

@@ -1,6 +1,8 @@
 """Turn playtimes into 1-5 ratings against each game's median playtime, then
 nudge them with review sentiment (model 2) or the recommend flag (model 3)."""
 
+import numpy as np
+
 from steamrec import (
     Interaction,
     Review,
@@ -8,7 +10,6 @@ from steamrec import (
     build_table,
     bundled_lexicon,
     derive,
-    median_playtime,
     playtime_rating,
 )
 
@@ -24,9 +25,9 @@ interactions = [
     Interaction("bob", 2, "Moth Queen", 60, 0),
 ]
 table = build_table(interactions)
-medians = median_playtime(table)
 print(f"\nper-item medians: " + ", ".join(
-    f"{table.index.item_ids[i]}={m:.0f}" for i, m in sorted(medians.items())))
+    f"{table.index.item_ids[i]}={np.median(table.playtime[table.items == i]):.0f}"
+    for i in range(table.num_items)))
 
 reviews = [
     Review("alice", 1, "honestly kind of boring and repetitive", recommended=False),

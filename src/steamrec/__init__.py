@@ -60,9 +60,7 @@ from .ratings import (
     adjust_with_recommendation,
     adjust_with_sentiment,
     derive,
-    median_playtime,
     playtime_rating,
-    read_ratings_csv,
     write_ratings_csv,
 )
 from .recommend import Recommendation, UserRecommendations, batch_recommend, top_k

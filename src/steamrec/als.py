@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ConfigError, SolveError
 
 MAX_RANK = 200
-_OBJECTIVE_CHUNK = 1_000_000
+_OBJECTIVE_CHUNK = 1 << 16
 # Elements per solve block: block rows x max(bucket width, rank) x rank.  A
 # constant, so block boundaries, and with them the results, never depend on
 # anything but the data and the rank.

@@ -421,8 +421,6 @@ def build_table(interactions: Iterable[Interaction]) -> InteractionTable:
     )
 
 
-interaction_to_dict = review_to_dict = asdict
-
 
 def _checked(record: dict, kind: type) -> list:
     """``record``'s values for the fields of ``kind`` in order; KeyError if one is

@@ -53,7 +53,8 @@ def _item_medians(items: np.ndarray, playtimes: np.ndarray, num_items: int) -> n
 
     One sort by (item, playtime); each item's median is its segment's middle
     value, or for an even count ``(a + b) / 2`` of the two middle values, the
-    arithmetic of ``statistics.median``.
+    arithmetic of ``statistics.median``.  Where ``a + b`` overflows, the
+    median is ``a / 2 + b / 2`` instead of infinite.
     """
     ordered = playtimes[np.lexsort((playtimes, items))]
     counts = np.bincount(items, minlength=num_items)
@@ -61,20 +62,13 @@ def _item_medians(items: np.ndarray, playtimes: np.ndarray, num_items: int) -> n
     starts = (np.cumsum(counts) - counts)[present]
     low = ordered[starts + (counts[present] - 1) // 2]
     high = ordered[starts + counts[present] // 2]
+    with np.errstate(over="ignore"):
+        mean = (low + high) / 2
+    spilled = np.isinf(mean)  # two finite values whose sum overflows
+    mean[spilled] = low[spilled] / 2 + high[spilled] / 2
     medians = np.full(num_items, np.nan)
-    medians[present] = np.where(counts[present] % 2 == 1, low, (low + high) / 2)
+    medians[present] = np.where(counts[present] % 2 == 1, low, mean)
     return medians
-
-
-def median_playtime(table: InteractionTable) -> dict[int, float]:
-    """Median ``playtime_forever`` per item index, zeros included.
-
-    Items without interactions are absent from the map.  Even-sized samples
-    use the mean of the two middle values.
-    """
-    medians = _item_medians(table.items, table.playtime, table.num_items)
-    present = np.flatnonzero(~np.isnan(medians))
-    return dict(zip(present.tolist(), medians[present].tolist()))
 
 
 def playtime_rating(playtime: float, item_median: float) -> int:
@@ -229,7 +223,7 @@ def read_ratings_array(path: str | Path) -> np.ndarray:
     """Read ``ratings.csv`` into an (N, 3) int64 array of (user, item, rating).
 
     Raises ``ValueError`` for a wrong header, and naming the line for a row
-    that is not three integers or a rating outside 1..5.
+    that is not three integers, has a negative index or a rating outside 1..5.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         lines = handle.read().splitlines()
@@ -244,9 +238,15 @@ def read_ratings_array(path: str | Path) -> np.ndarray:
         rows = np.array(",".join(body).split(","), dtype=np.int64).reshape(-1, 3)
     except (ValueError, OverflowError):
         raise _bad_row(path, body) from None
-    bad = np.flatnonzero((rows[:, 2] < 1) | (rows[:, 2] > 5))
+    bad = np.flatnonzero((rows[:, :2] < 0).any(axis=1) | (rows[:, 2] < 1) | (rows[:, 2] > 5))
     if bad.size:
-        raise ValueError(f"{path}: line {bad[0] + 2}: rating {rows[bad[0], 2]} outside 1..5")
+        user, item, rating = rows[bad[0]].tolist()
+        problem = (
+            f"user index {user} is negative" if user < 0
+            else f"item index {item} is negative" if item < 0
+            else f"rating {rating} outside 1..5"
+        )
+        raise ValueError(f"{path}: line {bad[0] + 2}: {problem}")
     return rows
 
 
@@ -258,7 +258,3 @@ def _bad_row(path: str | Path, body: list[str]) -> ValueError:
             return ValueError(f"{path}: line {lineno}: {line!r} is not three integers")
     return ValueError(f"{path}: rows are not three integers each")
 
-
-def read_ratings_csv(path: str | Path) -> list[RatingTriple]:
-    """:func:`read_ratings_array` as a list of RatingTriples."""
-    return [RatingTriple(u, i, r) for u, i, r in read_ratings_array(path).tolist()]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
@@ -28,7 +28,7 @@ NEGATIVE_THRESHOLD = -0.05
 # Contraction stems appear alongside full forms because tokenization splits
 # on apostrophes ("don't" -> "don", "t").  "won" is deliberately absent: it
 # collides with the past tense of "win".
-DEFAULT_NEGATIONS = frozenset(
+NEGATIONS = frozenset(
     """
     ain aint aren arent barely cannot cant couldn couldnt daren darent didn
     didnt doesn doesnt don dont hadn hadnt hardly hasn hasnt haven havent isn
@@ -38,7 +38,7 @@ DEFAULT_NEGATIONS = frozenset(
     """.split()
 )
 
-DEFAULT_BOOSTERS: Mapping[str, float] = {
+BOOSTERS: Mapping[str, float] = {
     "very": 0.29,
     "really": 0.29,
     "extremely": 0.35,
@@ -91,15 +91,10 @@ class SentimentResult:
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Token valences plus the negation set and booster increments.
-
-    The file format only carries valences; negations and boosters default to
-    the built-in sets and can be overridden programmatically.
-    """
+    """Token valences; the negation set and booster increments are the fixed
+    module constants ``NEGATIONS`` and ``BOOSTERS``."""
 
     valences: Mapping[str, float]
-    negations: frozenset[str] = DEFAULT_NEGATIONS
-    boosters: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_BOOSTERS))
 
     def __post_init__(self):
         for token, valence in self.valences.items():
@@ -142,9 +137,9 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def normalize(valence_sum: float, alpha: float = NORMALIZATION_ALPHA) -> float:
+def normalize(valence_sum: float) -> float:
     """Squash an unbounded valence sum into (-1, 1)."""
-    return valence_sum / math.sqrt(valence_sum * valence_sum + alpha)
+    return valence_sum / math.sqrt(valence_sum * valence_sum + NORMALIZATION_ALPHA)
 
 
 def valence_sum(tokens: list[str], lexicon: Lexicon) -> float:
@@ -160,10 +155,10 @@ def valence_sum(tokens: list[str], lexicon: Lexicon) -> float:
         if valence is None:
             continue
         window = tokens[max(0, pos - NEGATION_WINDOW) : pos]
-        boost = sum(lexicon.boosters.get(prev, 0.0) for prev in window)
+        boost = sum(BOOSTERS.get(prev, 0.0) for prev in window)
         if boost:
             valence += boost if valence > 0 else -boost
-        if any(prev in lexicon.negations for prev in window):
+        if any(prev in NEGATIONS for prev in window):
             valence *= NEGATION_FACTOR
         total += valence
     return total

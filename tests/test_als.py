@@ -272,6 +272,41 @@ def test_loss_trace_equals_public_objective_bit_for_bit():
         assert trace.values == expected
 
 
+def test_loss_trace_matches_the_minimiser_identity():
+    """At a user half-step's minimiser (Y_u'Y_u + lam n_u I) x_u = b_u with
+    b_u = Y_u' r_u, so J = sum r^2 - sum_u x_u . b_u + lam sum_i n_i ||y_i||^2.
+    The item half-step gives the same identity with the sides swapped."""
+    rng = np.random.default_rng(31)
+    for lam in (0.01, 0.1, 1.0):
+        for _ in range(4):
+            num_users = int(rng.integers(3, 30))
+            num_items = int(rng.integers(3, 30))
+            arr = random_rating_array(rng, num_users, num_items, int(rng.integers(10, 200)))
+            users, items = arr[:, 0].astype(np.intp), arr[:, 1].astype(np.intp)
+            dense = np.zeros((num_users, num_items))
+            dense[users, items] = arr[:, 2]
+            user_counts = np.bincount(users, minlength=num_users)
+            item_counts = np.bincount(items, minlength=num_items)
+            total = float(arr[:, 2] @ arr[:, 2])
+            rank, seed, sweeps = int(rng.integers(1, 6)), int(rng.integers(0, 1000)), 4
+            _, trace = train(arr, num_users, num_items, TrainConfig(rank, sweeps, lam, seed))
+            # the factors after t sweeps; training is deterministic, so these
+            # are the factors of the full run at that point
+            models = [init_model(num_users, num_items, TrainConfig(rank, 1, lam, seed))] + [
+                train(arr, num_users, num_items, TrainConfig(rank, t, lam, seed))[0]
+                for t in range(1, sweeps + 1)
+            ]
+            for t in range(1, sweeps + 1):
+                x, y = models[t].user_factors, models[t].item_factors
+                y_before = models[t - 1].item_factors
+                item_reg = lam * item_counts @ np.sum(y_before**2, 1)
+                user_reg = lam * user_counts @ np.sum(x**2, 1)
+                after_users = total - np.sum(x * (dense @ y_before)) + item_reg
+                after_items = total - np.sum(y * (dense.T @ x)) + user_reg
+                assert abs(trace.values[2 * t - 2] - after_users) <= 1e-12 * total
+                assert abs(trace.values[2 * t - 1] - after_items) <= 1e-12 * total
+
+
 def test_train_deterministic_across_runs():
     rng = np.random.default_rng(4)
     arr = random_rating_array(rng, 25, 18, 150)

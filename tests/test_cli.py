@@ -280,6 +280,16 @@ def test_bad_ratings_row_is_one_line_error_naming_the_line(tmp_path, capsys, com
     assert captured.err == f"steamrec: error: {path}: line 4: rating 7 outside 1..5\n"
 
 
+def test_negative_ratings_index_is_one_line_error_naming_the_line(tmp_path, capsys):
+    path = tmp_path / "ratings.csv"
+    path.write_text("user_index,item_index,rating\n0,0,5\n-1,1,5\n", encoding="utf-8")
+    code = main(["train", "--ratings", str(path), "--out", str(tmp_path / "model.bin")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"steamrec: error: {path}: line 3: user index -1 is negative\n"
+    assert not (tmp_path / "model.bin").exists()
+
+
 def test_atomic_write_failure_leaves_no_temp_and_keeps_old_artifact(tmp_path):
     target = tmp_path / "ratings.csv"
     target.write_text("old\n", encoding="utf-8")

@@ -33,11 +33,9 @@ from steamrec.ingest import (
     _parse_playtime,
     _require,
     interaction_from_dict,
-    interaction_to_dict,
     read_interactions_any,
     read_reviews_any,
     review_from_dict,
-    review_to_dict,
 )
 from steamrec.evaluation import TOP_N, stats
 from steamrec.ratings import match_reviews
@@ -381,7 +379,7 @@ def test_lines_json_would_misread_fall_back_to_literal_eval(line):
 
 def test_interaction_round_trip():
     inter = make_interaction(user="u9", item=77, name="Garry's Mod", forever=12.5, recent=3)
-    assert interaction_from_dict(json.loads(json.dumps(interaction_to_dict(inter)))) == inter
+    assert interaction_from_dict(json.loads(json.dumps(dataclasses.asdict(inter)))) == inter
 
 
 def test_jsonl_files_round_trip(tmp_path):
@@ -450,7 +448,7 @@ def test_review_dict_round_trip():
         (DATA_DIR / "mixed_reviews.jsonl").read_text(encoding="utf-8").splitlines()
     )
     for review in reviews:
-        assert review_from_dict(json.loads(json.dumps(review_to_dict(review)))) == review
+        assert review_from_dict(json.loads(json.dumps(dataclasses.asdict(review)))) == review
 
 
 def test_read_any_sniffs_both_formats(tmp_path):
@@ -486,7 +484,7 @@ def test_jsonl_writers_match_json_dumps_bytes(tmp_path, monkeypatch):
     ]
     path = tmp_path / "interactions.jsonl"
     write_interactions_jsonl(interactions, path)
-    assert path.read_bytes() == _dumps_lines(interactions, interaction_to_dict).encode()
+    assert path.read_bytes() == _dumps_lines(interactions, dataclasses.asdict).encode()
 
     reviews = [
         Review(user_id="u1", item_id=4000, text='Garry\'s "fun"\t ', recommended=True,
@@ -498,14 +496,14 @@ def test_jsonl_writers_match_json_dumps_bytes(tmp_path, monkeypatch):
     ]
     rpath = tmp_path / "reviews.jsonl"
     write_reviews_jsonl(reviews, rpath)
-    assert rpath.read_bytes() == _dumps_lines(reviews, review_to_dict).encode()
+    assert rpath.read_bytes() == _dumps_lines(reviews, dataclasses.asdict).encode()
 
 
 def test_jsonl_writer_refuses_non_finite_like_json_dumps(tmp_path):
     inter = make_interaction(forever=1.0)
     object.__setattr__(inter, "playtime_2weeks", float("nan"))
     with pytest.raises(ValueError) as expected:
-        json.dumps(interaction_to_dict(inter), allow_nan=False)
+        json.dumps(dataclasses.asdict(inter), allow_nan=False)
     with pytest.raises(ValueError) as got:
         write_interactions_jsonl([inter], tmp_path / "x.jsonl")
     assert str(got.value) == str(expected.value)

@@ -15,12 +15,10 @@ from steamrec import (
     adjust_with_recommendation,
     adjust_with_sentiment,
     derive,
-    median_playtime,
     playtime_rating,
-    read_ratings_csv,
     write_ratings_csv,
 )
-from steamrec.ratings import derive_array, match_reviews, read_ratings_array
+from steamrec.ratings import _item_medians, derive_array, match_reviews, read_ratings_array
 from steamrec.sentiment import classify, score
 
 from .conftest import table_from_playtimes
@@ -42,20 +40,33 @@ def median_oracle(values):
     return (ordered[mid - 1] + ordered[mid]) / 2
 
 
-# -- median_playtime -----------------------------------------------------------
+# -- item medians --------------------------------------------------------------
+
+def medians_of(table):
+    return _item_medians(table.items, table.playtime, table.num_items)
+
 
 def test_median_odd_even_singleton():
     table = table_from_playtimes(
         {1: [("a", 10), ("b", 20), ("c", 30)], 2: [("a", 10), ("b", 20)], 3: [("a", 7)]}
     )
-    medians = median_playtime(table)
-    by_id = {table.index.item_ids[i]: m for i, m in medians.items()}
+    by_id = {table.index.item_ids[i]: m for i, m in enumerate(medians_of(table).tolist())}
     assert by_id == {1: 20.0, 2: 15.0, 3: 7.0}
 
 
 def test_median_includes_zeros():
     table = table_from_playtimes({1: [("a", 0), ("b", 0), ("c", 90)]})
-    assert median_playtime(table)[0] == 0.0
+    assert medians_of(table)[0] == 0.0
+
+
+def test_median_of_two_huge_playtimes_is_finite():
+    playtimes = [1e308, 1.5e308]
+    table = table_from_playtimes({1: [(f"u{j}", p) for j, p in enumerate(playtimes)]})
+    median = 1e308 / 2 + 1.5e308 / 2
+    with np.errstate(all="raise"):
+        assert medians_of(table).tolist() == [median]
+        rows = derive_array(table)
+    assert rows[:, 2].tolist() == [playtime_rating(p, median) for p in playtimes]
 
 
 # -- playtime_rating -----------------------------------------------------------
@@ -256,7 +267,7 @@ def test_ratings_csv_round_trip(tmp_path):
     write_ratings_csv(triples, path)
     text = path.read_text(encoding="utf-8")
     assert text.splitlines()[0] == "user_index,item_index,rating"
-    assert read_ratings_csv(path) == triples
+    assert read_ratings_array(path).tolist() == [list(t) for t in triples]
 
 
 @pytest.mark.parametrize(
@@ -275,7 +286,7 @@ def test_ratings_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
     with pytest.raises(ValueError):
-        read_ratings_csv(path)
+        read_ratings_array(path)
 
 
 # -- columnar derive against the scalar rules ----------------------------------------
@@ -377,7 +388,7 @@ def test_columnar_median_matches_statistics_median():
         by_item.setdefault(table.index.item_index(inter.item_id), []).append(
             inter.playtime_forever
         )
-    assert median_playtime(table) == {
+    assert dict(enumerate(medians_of(table).tolist())) == {
         item: float(statistics.median(values)) for item, values in by_item.items()
     }
 
@@ -389,7 +400,6 @@ def test_ratings_array_round_trip(tmp_path):
     assert path.read_text(encoding="utf-8") == "user_index,item_index,rating\n0,1,5\n12,0,1\n3,40000,3\n"
     got = read_ratings_array(path)
     assert got.dtype == np.int64 and got.tolist() == rows.tolist()
-    assert read_ratings_csv(path) == [RatingTriple(*row) for row in rows.tolist()]
 
 
 @pytest.mark.parametrize(
@@ -397,6 +407,8 @@ def test_ratings_array_round_trip(tmp_path):
     [
         ("0,1,5\n1,2,6\n", "line 3: rating 6 outside 1..5"),
         ("0,1,5\n1,2,0\n", "line 3: rating 0 outside 1..5"),
+        ("0,1,5\n-1,1,5\n", "line 3: user index -1 is negative"),
+        ("0,1,5\n1,-2,5\n", "line 3: item index -2 is negative"),
         ("0,1,5\n1,x,3\n", "line 3: '1,x,3' is not three integers"),
         ("0,1,5\n1,2,3.5\n", "line 3: '1,2,3.5' is not three integers"),
         ("0,1,5\n1,2\n", "line 3: '1,2' is not three integers"),
@@ -410,5 +422,3 @@ def test_read_ratings_names_the_bad_line(tmp_path, body, message):
     path.write_text("user_index,item_index,rating\n" + body, encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(message)):
         read_ratings_array(path)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        read_ratings_csv(path)
