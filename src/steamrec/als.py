@@ -17,18 +17,23 @@ after every half-step is the matching weighted form
 which each half-step minimizes exactly in its free block, so the loss trace
 is non-increasing.
 
-A half-step solves its rows in batches: rows are bucketed by observation
-count rounded up to a power of two, each bucket's partner factors are
-gathered zero-padded to that width (a zero row adds nothing to ``Y_u' Y_u``
-or ``Y_u' r_u``), and each block of a bucket is one stacked matrix product,
-one stacked Cholesky factorization and one stacked pair of triangular
-solves.  Block boundaries depend only on the data and the rank, so training
-is bit-reproducible for a fixed seed.
+Each side of the ratings is held once as compressed sparse rows
+(``RatingCSR``).  A half-step solves its rows in batches: rows are bucketed
+by observation count rounded up to a power of two, each bucket's partner
+factors are gathered zero-padded to that width (a zero row adds nothing to
+``Y_u' Y_u`` or ``Y_u' r_u``), and each block of a bucket is one stacked
+matrix product.  The blocks' normal equations then go into solve batches of
+up to ``_BLOCK_ELEMENTS // k^2`` systems that span buckets, each one stacked
+Cholesky factorization and one stacked pair of triangular solves.  Block
+and batch boundaries depend only on the data and the rank, and every system
+is solved with the same arithmetic in any batch, so training is
+bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,13 +43,10 @@ from .errors import ConfigError, SolveError
 
 MAX_RANK = 200
 _OBJECTIVE_CHUNK = 1 << 16
-# Elements per solve block: block rows x max(bucket width, rank) x rank.  A
-# constant, so block boundaries, and with them the results, never depend on
-# anything but the data and the rank.
+# Elements per bucket block: block rows x max(bucket width, rank) x rank; a
+# solve batch holds _BLOCK_ELEMENTS // rank^2 rows.  A constant, so block and
+# batch boundaries never depend on anything but the data and the rank.
 _BLOCK_ELEMENTS = 1 << 18
-
-RatingGroups = list[tuple[np.ndarray, np.ndarray]]
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -132,10 +134,16 @@ def _triples(ratings, dtype=None) -> np.ndarray:
 
 
 def _as_array(ratings) -> np.ndarray:
-    """``_triples`` as float64, which must be nonempty."""
+    """``_triples`` as float64, which must be nonempty, finite and hold
+    whole-number indices."""
     arr = _triples(ratings, np.float64)
     if arr.size == 0:
         raise ValueError("ratings must be nonempty")
+    if not np.isfinite(arr).all():
+        raise ValueError("ratings must hold finite indices and ratings")
+    indices = arr[:, :2]
+    if not (np.trunc(indices) == indices).all():
+        raise ValueError("user and item indices must be whole numbers")
     return arr
 
 
@@ -166,28 +174,59 @@ def init_model(num_users: int, num_items: int, config: TrainConfig) -> FactorMod
     )
 
 
-def _group(indices: np.ndarray, partners: np.ndarray, values: np.ndarray, size: int) -> RatingGroups:
+class RatingCSR(Sequence):
+    """One side of the ratings in compressed sparse rows.
+
+    Row ``r``'s partners are ``partners[indptr[r]:indptr[r + 1]]`` and its
+    ratings the same slice of ``values``, in the order the ratings came in.
+    Reads as a sequence of per-row ``(partners, values)`` views made on
+    demand.
+    """
+
+    __slots__ = ("indptr", "partners", "values")
+
+    def __init__(self, indptr: np.ndarray, partners: np.ndarray, values: np.ndarray):
+        self.indptr, self.partners, self.values = indptr, partners, values
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, row: int) -> tuple[np.ndarray, np.ndarray]:
+        row = range(len(self))[row]
+        lo, hi = self.indptr[row], self.indptr[row + 1]
+        return self.partners[lo:hi], self.values[lo:hi]
+
+    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        bounds = self.indptr.tolist()
+        return (
+            (self.partners[lo:hi], self.values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+        )
+
+
+def _csr(
+    indices: np.ndarray, partners: np.ndarray, values: np.ndarray, size: int, side: str
+) -> RatingCSR:
+    """Rows ``range(size)`` of the ratings, each row's entries in input order."""
+    if indices.min() < 0 or indices.max() >= size:
+        raise ValueError(f"{side} index out of range")
     order = np.argsort(indices, kind="stable")
-    sorted_idx = indices[order]
-    sorted_partners = partners[order]
-    sorted_values = values[order]
-    bounds = np.searchsorted(sorted_idx, np.arange(size + 1))
-    return [
-        (sorted_partners[bounds[i] : bounds[i + 1]], sorted_values[bounds[i] : bounds[i + 1]])
-        for i in range(size)
-    ]
+    indptr = np.zeros(size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(indices, minlength=size), out=indptr[1:])
+    return RatingCSR(indptr, partners[order], values[order])
 
 
-def group_by_user(ratings, num_users: int) -> RatingGroups:
-    """Per-user (item_indices, ratings) arrays, index-sorted and deterministic."""
+def group_by_user(ratings, num_users: int) -> RatingCSR:
+    """Each user's (item_indices, ratings), in input order; every user index
+    must be in ``range(num_users)``."""
     users, items, values = _columns(ratings)
-    return _group(users, items, values, num_users)
+    return _csr(users, items, values, num_users, "user")
 
 
-def group_by_item(ratings, num_items: int) -> RatingGroups:
-    """Per-item (user_indices, ratings) arrays, index-sorted and deterministic."""
+def group_by_item(ratings, num_items: int) -> RatingCSR:
+    """Each item's (user_indices, ratings), in input order; every item index
+    must be in ``range(num_items)``."""
     users, items, values = _columns(ratings)
-    return _group(items, users, values, num_items)
+    return _csr(items, users, values, num_items, "item")
 
 
 def _cholesky_solve(normal: np.ndarray, rhs: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -219,47 +258,68 @@ def _cholesky_solve(normal: np.ndarray, rhs: np.ndarray, rows: np.ndarray) -> np
 
 def solve_half_step(
     fixed: np.ndarray,
-    groups: RatingGroups,
+    rows: RatingCSR,
     regularization: float,
     current: np.ndarray,
 ) -> np.ndarray:
     """Re-solve every free row against the fixed side; returns a new matrix.
 
-    Rows with no observations keep their current values.  Rows are bucketed
-    by observation count rounded up to a power of two and solved a block at
-    a time (see the module docstring).  Raises :class:`SolveError` naming a
-    row whose normal matrix is not positive definite.
+    ``rows`` holds each free row's partners and ratings (``group_by_user`` or
+    ``group_by_item``).  Rows with no observations keep their current values.
+    Rows are bucketed by observation count rounded up to a power of two, and
+    their normal equations are formed a bucket block at a time and solved in
+    batches that span buckets (see the module docstring).  Raises
+    :class:`SolveError` naming a row whose normal matrix is not positive
+    definite.
     """
     out = np.array(current, dtype=np.float64, copy=True)
-    counts = np.fromiter((len(p) for p, _ in groups), dtype=np.intp, count=len(groups))
+    counts = np.diff(rows.indptr)
     solved = np.flatnonzero(counts)
     if solved.size == 0:
         return out
     k = fixed.shape[1]
-    starts = np.cumsum(counts) - counts
+    starts = rows.indptr[:-1]
     # The padding slot is one past the last observation: a zero partner row
     # and a zero rating.
-    pad = int(counts.sum())
-    partners = np.append(np.concatenate([p for p, _ in groups]).astype(np.intp), len(fixed))
-    values = np.append(np.concatenate([v for _, v in groups]).astype(np.float64), 0.0)
+    pad = len(rows.partners)
+    partners = np.append(rows.partners, len(fixed))
+    values = np.append(rows.values, 0.0)
     padded_fixed = np.vstack([fixed, np.zeros((1, k))])
     # 2 ** bit_length(n - 1): each count rounded up to a power of two
     widths = np.left_shift(1, np.frexp(counts[solved] - 1)[1])
     diagonal = np.arange(k)
+    # A block holds at most _BLOCK_ELEMENTS // (width * k) <= batch rows, so
+    # every block fits in one batch.
+    batch = min(_BLOCK_ELEMENTS // (k * k), solved.size)
+    batch_rows = np.empty(batch, dtype=np.intp)
+    batch_normal = np.empty((batch, k, k))
+    batch_rhs = np.empty((batch, k))
+
+    def solve(filled: int) -> None:
+        done = batch_rows[:filled]
+        out[done] = _cholesky_solve(batch_normal[:filled], batch_rhs[:filled], done)
+
+    filled = 0
     for width in np.unique(widths).tolist():
-        rows = solved[widths == width]
+        bucket = solved[widths == width]
         slots = np.arange(width)
         block = max(1, _BLOCK_ELEMENTS // (max(width, k) * k))
-        for lo in range(0, len(rows), block):
-            chunk = rows[lo : lo + block]
+        for lo in range(0, len(bucket), block):
+            chunk = bucket[lo : lo + block]
+            if filled + len(chunk) > batch:
+                solve(filled)
+                filled = 0
             n = counts[chunk]
             pos = np.where(slots < n[:, None], starts[chunk][:, None] + slots, pad)
             gathered = padded_fixed[partners[pos]]
             transposed = gathered.transpose(0, 2, 1)
-            normal = transposed @ gathered
+            span = slice(filled, filled + len(chunk))
+            normal = np.matmul(transposed, gathered, out=batch_normal[span])
             normal[:, diagonal, diagonal] += regularization * n[:, None]
-            rhs = (transposed @ values[pos][:, :, None])[:, :, 0]
-            out[chunk] = _cholesky_solve(normal, rhs, chunk)
+            batch_rhs[span] = (transposed @ values[pos][:, :, None])[:, :, 0]
+            batch_rows[span] = chunk
+            filled += len(chunk)
+    solve(filled)
     return out
 
 
@@ -320,11 +380,34 @@ def train(
         The trained model and the loss trace with one J value per half-step.
     """
     arr = _as_array(ratings)
-    if arr[:, 0].min() < 0 or arr[:, 0].max() >= num_users:
-        raise ValueError("user index out of range")
-    if arr[:, 1].min() < 0 or arr[:, 1].max() >= num_items:
-        raise ValueError("item index out of range")
+    by_user = group_by_user(arr, num_users)
+    by_item = group_by_item(arr, num_items)
+    observed = _Observed(arr, num_users, num_items)
+    lam = config.regularization
+    trace = LossTrace()
+    model = _fit(
+        by_user,
+        by_item,
+        config,
+        initial,
+        lambda users, items: trace.values.append(observed.objective(users, items, lam)),
+    )
+    return model, trace
 
+
+def _fit(
+    by_user: RatingCSR,
+    by_item: RatingCSR,
+    config: TrainConfig,
+    initial: FactorModel | None = None,
+    after_half_step: Callable[[np.ndarray, np.ndarray], None] | None = None,
+) -> FactorModel:
+    """``train`` on ratings already grouped, without the loss trace.
+
+    ``after_half_step(user_factors, item_factors)``, when given, is called
+    after every half-step.
+    """
+    num_users, num_items = len(by_user), len(by_item)
     if initial is None:
         initial = init_model(num_users, num_items, config)
     elif initial.user_factors.shape != (num_users, config.rank) or initial.item_factors.shape != (
@@ -333,29 +416,23 @@ def train(
     ):
         raise ConfigError("initial model shape does not match (num_users, num_items, rank)")
 
-    user_factors = initial.user_factors.copy()
-    item_factors = initial.item_factors.copy()
-    user_groups = group_by_user(arr, num_users)
-    item_groups = group_by_item(arr, num_items)
+    user_factors, item_factors = initial.user_factors, initial.item_factors
     lam = config.regularization
-
-    observed = _Observed(arr, num_users, num_items)
-
-    trace = LossTrace()
     for _ in range(config.iterations):
-        user_factors = solve_half_step(item_factors, user_groups, lam, user_factors)
-        trace.values.append(observed.objective(user_factors, item_factors, lam))
-        item_factors = solve_half_step(user_factors, item_groups, lam, item_factors)
-        trace.values.append(observed.objective(user_factors, item_factors, lam))
+        user_factors = solve_half_step(item_factors, by_user, lam, user_factors)
+        if after_half_step is not None:
+            after_half_step(user_factors, item_factors)
+        item_factors = solve_half_step(user_factors, by_item, lam, item_factors)
+        if after_half_step is not None:
+            after_half_step(user_factors, item_factors)
 
-    model = FactorModel(
+    return FactorModel(
         user_factors=user_factors,
         item_factors=item_factors,
         rank=config.rank,
         regularization=lam,
         seed=initial.seed if initial.seed is not None else config.seed,
     )
-    return model, trace
 
 
 def row_dots(left: np.ndarray, right: np.ndarray) -> np.ndarray:

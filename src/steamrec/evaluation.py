@@ -9,7 +9,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .als import FactorModel, TrainConfig, _as_array, _columns, _triples, row_dots, train
+from .als import (
+    FactorModel,
+    TrainConfig,
+    _as_array,
+    _columns,
+    _fit,
+    _triples,
+    group_by_item,
+    group_by_user,
+    row_dots,
+)
 from .errors import ConfigError, EvaluationError
 from .ingest import InteractionTable, Review
 from .sentiment import ClassCounts, Lexicon, bundled_lexicon, class_counts
@@ -101,9 +111,13 @@ def evaluate(
     split_config: SplitConfig,
     strategy: str = "",
 ) -> EvalReport:
-    """Split, train on the train side, and report held-out RMSE."""
+    """Split, train on the train side, and report held-out RMSE.
+
+    The model is the one ``train`` gives on the train side, bit for bit.
+    """
     train_part, test_part = split(_as_array(ratings), split_config)
-    model, _ = train(train_part, num_users, num_items, train_config)
+    by_user, by_item = group_by_user(train_part, num_users), group_by_item(train_part, num_items)
+    model = _fit(by_user, by_item, train_config)
     return rmse(model, test_part, train_part, strategy=strategy)
 
 
@@ -114,17 +128,18 @@ def sweep(
     split_config: SplitConfig,
     strategy: str = "",
 ) -> list[EvalReport]:
-    """One evaluation per rank, reusing the same split for every rank."""
+    """One evaluation per rank, reusing the same split and its grouping for
+    every rank."""
     if not ranks:
         raise ConfigError("ranks must be nonempty")
     arr = _as_array(ratings)
     num_users = int(arr[:, 0].max()) + 1
     num_items = int(arr[:, 1].max()) + 1
     train_part, test_part = split(arr, split_config)
+    by_user, by_item = group_by_user(train_part, num_users), group_by_item(train_part, num_items)
     reports = []
     for rank in ranks:
-        config = dataclasses.replace(train_config, rank=rank)
-        model, _ = train(train_part, num_users, num_items, config)
+        model = _fit(by_user, by_item, dataclasses.replace(train_config, rank=rank))
         reports.append(rmse(model, test_part, train_part, strategy=strategy))
     return reports
 

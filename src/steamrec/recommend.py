@@ -71,17 +71,34 @@ def top_k(
     _check_shapes(model, table)
     if not 0 <= user_index < model.num_users:
         raise IndexError(f"user index {user_index} out of range")
-    unseen = np.ones(model.num_items, dtype=bool)
-    if exclude_seen:
-        unseen[table.seen_items(user_index)] = False
-    candidates = np.flatnonzero(unseen)
-    negated = -row_dots(model.item_factors, model.user_factors[user_index])[candidates]
-    if k < len(candidates):
-        # Keep every candidate tied with the k-th best, then order by
-        # (-score, index) and cut.
-        kth = np.partition(negated, k - 1)[k - 1]
-        keep = negated <= kth
-        candidates, negated = candidates[keep], negated[keep]
+    return _ranked(model, table, user_index, k, exclude_seen)
+
+
+def _ranked(
+    model: FactorModel, table: InteractionTable, user_index: int, k: int, exclude_seen: bool
+) -> list[Recommendation]:
+    """``top_k`` for arguments already checked."""
+    negated = -row_dots(model.item_factors, model.user_factors[user_index])
+    seen = table.seen_items(user_index) if exclude_seen else []
+    negated[seen] = np.inf
+    kth = np.partition(negated, k - 1)[k - 1] if k < len(negated) else np.inf
+    if np.isfinite(kth):
+        # The k-th best unseen score: seen items, at +inf, all fall past it.
+        # Keep every item tied with it, then order by (-score, index) and cut.
+        candidates = np.flatnonzero(negated <= kth)
+        negated = negated[candidates]
+    else:
+        # A non-finite cut (fewer than k unseen items, or overflowed or NaN
+        # scores) could tie with or sort among the seen items' +inf, so rank
+        # the unseen items alone.
+        unseen = np.ones(len(negated), dtype=bool)
+        unseen[seen] = False
+        candidates = np.flatnonzero(unseen)
+        negated = negated[candidates]
+        if k < len(candidates):
+            kth = np.partition(negated, k - 1)[k - 1]
+            keep = negated <= kth
+            candidates, negated = candidates[keep], negated[keep]
     order = np.lexsort((candidates, negated))[:k]
     item_ids, item_names = table.index.item_ids, table.item_names
     return [
@@ -110,16 +127,16 @@ def batch_recommend(
     _check_shapes(model, table)
     results = []
     for user_id in user_ids:
-        if not table.index.has_user(user_id):
+        try:
+            user_index = table.index.user_index(user_id)
+        except KeyError:
             results.append(
                 UserRecommendations(user_id=user_id, items=[], error="unknown user id")
             )
             continue
-        user_index = table.index.user_index(user_id)
         results.append(
             UserRecommendations(
-                user_id=user_id,
-                items=top_k(model, table, user_index, k, exclude_seen=exclude_seen),
+                user_id=user_id, items=_ranked(model, table, user_index, k, exclude_seen)
             )
         )
     return results

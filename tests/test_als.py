@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from steamrec import ConfigError, SolveError
+from steamrec import ConfigError, SolveError, als
 from steamrec.als import (
     _BLOCK_ELEMENTS,
     FactorModel,
+    RatingCSR,
     TrainConfig,
     group_by_item,
     group_by_user,
@@ -73,21 +74,31 @@ def test_grouping_by_both_sides():
     by_item = group_by_item(arr, 3)
     assert by_item[0][0].tolist() == [1, 0]
     assert by_item[2][0].tolist() == []
+    assert by_user.indptr.tolist() == [0, 2, 3] and by_item.indptr.tolist() == [0, 2, 3, 3]
+    assert [p.tolist() for p, _ in by_item] == [[1, 0], [0], []]
 
 
 # -- half-step solves ----------------------------------------------------------------
 
+def _csr(groups):
+    """The RatingCSR of hand-built per-row (partners, values) pairs."""
+    indptr = np.cumsum([0] + [len(p) for p, _ in groups]).astype(np.intp)
+    partners = np.concatenate([np.asarray(p, dtype=np.intp) for p, _ in groups])
+    values = np.concatenate([np.asarray(v, dtype=np.float64) for _, v in groups])
+    return RatingCSR(indptr, partners, values)
+
+
 def test_half_step_hand_example_unregularized():
     fixed = np.array([[1.0], [1.0]])
     groups = [(np.array([0, 1]), np.array([3.0, 5.0]))]
-    out = solve_half_step(fixed, groups, 0.0, np.zeros((1, 1)))
+    out = solve_half_step(fixed, _csr(groups), 0.0, np.zeros((1, 1)))
     assert out[0, 0] == pytest.approx(4.0, rel=1e-14)
 
 
 def test_half_step_hand_example_weighted_lambda():
     fixed = np.array([[1.0], [1.0]])
     groups = [(np.array([0, 1]), np.array([3.0, 5.0]))]
-    out = solve_half_step(fixed, groups, 0.5, np.zeros((1, 1)))
+    out = solve_half_step(fixed, _csr(groups), 0.5, np.zeros((1, 1)))
     assert out[0, 0] == pytest.approx(8.0 / 3.0, rel=1e-14)
 
 
@@ -95,7 +106,7 @@ def test_half_step_empty_row_keeps_current_value():
     fixed = np.array([[1.0], [2.0]])
     groups = [(np.array([0]), np.array([2.0])), (np.array([], dtype=int), np.array([]))]
     current = np.array([[9.0], [7.0]])
-    out = solve_half_step(fixed, groups, 0.1, current)
+    out = solve_half_step(fixed, _csr(groups), 0.1, current)
     assert out[1, 0] == 7.0
     assert current[0, 0] == 9.0  # input untouched
 
@@ -108,7 +119,7 @@ def test_half_step_singular_names_row():
         (np.array([0]), np.array([1.0])),
     ]
     with pytest.raises(SolveError, match="row 1"):
-        solve_half_step(fixed, groups, 0.0, np.zeros((2, 2)))
+        solve_half_step(fixed, _csr(groups), 0.0, np.zeros((2, 2)))
 
 
 def _reference_half_step(fixed, groups, regularization, current):
@@ -149,7 +160,7 @@ def test_batched_half_step_matches_per_row_solve(rank):
     assert len(widths) >= 5 and any(len(p) == 0 for p, _ in groups)
     fixed = rng.random((150, rank))
     current = rng.random((400, rank))
-    got = solve_half_step(fixed, groups, 0.1, current)
+    got = solve_half_step(fixed, _csr(groups), 0.1, current)
     _assert_rows_close(got, _reference_half_step(fixed, groups, 0.1, current), 1e-12)
     empty = [row for row, (p, _) in enumerate(groups) if len(p) == 0]
     assert np.array_equal(got[empty], current[empty])
@@ -168,7 +179,7 @@ def test_batched_half_step_spans_blocks_at_rank_200():
     ]
     fixed = rng.random((300, rank)) / np.sqrt(rank)
     current = rng.random((len(groups), rank))
-    got = solve_half_step(fixed, groups, 0.1, current)
+    got = solve_half_step(fixed, _csr(groups), 0.1, current)
     _assert_rows_close(got, _reference_half_step(fixed, groups, 0.1, current), 1e-12)
     assert np.array_equal(got[-2], current[-2])
 
@@ -192,7 +203,65 @@ def test_batched_half_step_spans_blocks_at_rank_200():
 )
 def test_half_step_singular_row_named_within_shared_block(fixed, groups):
     with pytest.raises(SolveError, match=r"row 2\b"):
-        solve_half_step(fixed, groups, 0.0, np.zeros((4, fixed.shape[1])))
+        solve_half_step(fixed, _csr(groups), 0.0, np.zeros((4, fixed.shape[1])))
+
+
+def _bucket(degree):
+    return 1 << max(degree - 1, 0).bit_length()
+
+
+def _counting_solves(monkeypatch):
+    """Record the number of systems of each _cholesky_solve call."""
+    batches = []
+    original = als._cholesky_solve
+
+    def counted(normal, rhs, rows):
+        batches.append(len(rows))
+        return original(normal, rhs, rows)
+
+    monkeypatch.setattr(als, "_cholesky_solve", counted)
+    return batches
+
+
+def test_a_solve_batch_spanning_buckets_gives_each_bucket_its_own_bits(monkeypatch):
+    rank = 3
+    rng = np.random.default_rng(21)
+    degrees = [1, 2, 3, 4, 5, 8, 1, 7, 2, 0, 6, 16, 9]
+    groups = [
+        (rng.choice(20, size=d, replace=False), rng.integers(1, 6, size=d).astype(np.float64))
+        for d in degrees
+    ]
+    buckets = sorted({_bucket(d) for d in degrees if d})
+    assert len(buckets) >= 3
+    fixed = rng.random((20, rank))
+    current = rng.random((len(groups), rank))
+    batches = _counting_solves(monkeypatch)
+    together = solve_half_step(fixed, _csr(groups), 0.1, current)
+    assert batches == [len(degrees) - 1]  # every solved row in one batch
+    for width in buckets:
+        alone = [(p, v) if len(p) and _bucket(len(p)) == width else (p[:0], v[:0])
+                 for p, v in groups]
+        rows = [row for row, d in enumerate(degrees) if d and _bucket(d) == width]
+        got = solve_half_step(fixed, _csr(alone), 0.1, current)
+        assert together[rows].tobytes() == got[rows].tobytes()
+
+
+def test_a_solve_batch_spanning_buckets_names_its_singular_row(monkeypatch):
+    # rank 2, lambda 0: rows of degree 2, 3 and 5 in buckets 2, 4 and 8; row 3's
+    # five partners are all multiples of (1, 2), so its normal matrix is singular
+    fixed = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0],
+                      [1.0, 2.0], [2.0, 4.0], [-1.0, -2.0], [3.0, 6.0], [0.5, 1.0]])
+    groups = [
+        (np.array([0, 1]), np.array([1.0, 2.0])),
+        (np.array([0, 1, 2]), np.array([3.0, 1.0, 2.0])),
+        (np.array([0, 1, 2, 3, 4]), np.array([1.0, 2.0, 3.0, 4.0, 5.0])),
+        (np.array([4, 5, 6, 7, 8]), np.array([1.0, 2.0, 3.0, 4.0, 5.0])),
+        (np.array([2, 3]), np.array([4.0, 5.0])),
+    ]
+    batches = _counting_solves(monkeypatch)
+    with pytest.raises(SolveError, match=r"row 3\b"):
+        solve_half_step(fixed, _csr(groups), 0.0, np.zeros((5, 2)))
+    assert batches == [5]
 
 
 def test_half_step_is_blockwise_optimal():
@@ -346,6 +415,10 @@ def test_train_validates_inputs():
         train([], 1, 1, config)
     with pytest.raises(ValueError):
         train([(5, 0, 3.0)], 2, 2, config)
+    with pytest.raises(ValueError, match="user index out of range"):
+        group_by_user([(5, 0, 3.0)], 2)
+    with pytest.raises(ValueError, match="item index out of range"):
+        group_by_item([(0, -1, 3.0)], 2)
     bad_initial = init_model(2, 2, TrainConfig(rank=3))
     with pytest.raises(ConfigError):
         train([(0, 0, 3.0)], 2, 2, config, initial=bad_initial)

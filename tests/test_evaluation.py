@@ -1,4 +1,5 @@
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from steamrec import (
     stats,
     write_ratings_csv,
 )
+from steamrec import als
 from steamrec.als import FactorModel, TrainConfig, predict, train
 from steamrec.evaluation import evaluate, format_stats, rmse, sweep, sweep_csv
 from steamrec.sentiment import Lexicon
@@ -259,6 +261,62 @@ def test_evaluate_splits_trains_and_reports():
     )
     assert report.strategy == "playtime"
     assert report.evaluated + report.dropped == len(arr) - int(0.8 * len(arr))
+
+
+def test_evaluate_and_sweep_rmse_equal_train_then_rmse_bit_for_bit():
+    arr = planted_ratings(num_users=50, num_items=30, seed=12)
+    num_users, num_items = int(arr[:, 0].max()) + 1, int(arr[:, 1].max()) + 1
+    split_config = SplitConfig(fraction=0.8, seed=3)
+    train_part, test_part = split(arr, split_config)
+    base = TrainConfig(rank=1, iterations=4, regularization=0.05, seed=7)
+    ranks = [1, 3, 6]
+    swept = sweep(arr, ranks, base, split_config, strategy="playtime")
+    for rank, report in zip(ranks, swept):
+        config = TrainConfig(rank=rank, iterations=4, regularization=0.05, seed=7)
+        expected = rmse(train(train_part, num_users, num_items, config)[0], test_part, train_part,
+                        strategy="playtime")
+        assert report == expected and report.rmse.hex() == expected.rmse.hex()
+        got = evaluate(arr, num_users, num_items, config, split_config, strategy="playtime")
+        assert got == expected and got.rmse.hex() == expected.rmse.hex()
+
+
+def test_evaluate_and_sweep_never_compute_the_objective(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the objective was computed")
+
+    monkeypatch.setattr(als._Observed, "objective", refuse)
+    arr = planted_ratings(num_users=30, num_items=20, seed=4)
+    config, split_config = TrainConfig(rank=2, iterations=3, seed=1), SplitConfig(seed=1)
+    evaluate(arr, 30, 20, config, split_config)
+    sweep(arr, [1, 2], config, split_config)
+    with pytest.raises(AssertionError, match="objective"):
+        train(arr, 30, 20, config)  # the patch is live
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([(0.5, 0, 4.0), (1, 1, 3.0)], "whole numbers"),
+        ([(0, 0, 4.0), (1, 0.25, 3.0)], "whole numbers"),
+        ([(np.nan, 0, 4.0), (1, 1, 3.0)], "finite"),
+        ([(0, np.inf, 4.0), (1, 1, 3.0)], "finite"),
+        ([(0, 0, np.nan), (1, 1, 3.0)], "finite"),
+        ([(0, 0, 4.0), (1, 1, -np.inf)], "finite"),
+    ],
+)
+def test_fractional_or_non_finite_rows_are_one_value_error(rows, message):
+    config, split_config = TrainConfig(rank=1, iterations=1), SplitConfig(fraction=0.5, seed=0)
+    model = FactorModel(np.ones((2, 1)), np.ones((2, 1)), rank=1, regularization=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning before the error
+        for call in (
+            lambda: train(rows, 2, 2, config),
+            lambda: evaluate(rows, 2, 2, config, split_config),
+            lambda: sweep(rows, [1], config, split_config),
+            lambda: rmse(model, rows, [(0, 0, 4.0), (1, 1, 3.0)]),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 # -- stats -----------------------------------------------------------------------

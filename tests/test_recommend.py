@@ -178,6 +178,20 @@ def test_top_k_matches_oracle_with_ties_at_the_cut(exclude_seen):
             assert got == _oracle_top_k(model, table, u, k, exclude_seen)
 
 
+def test_top_k_with_a_cut_at_minus_infinity():
+    # 1e200 * 1e200 overflows: items 0-2 score +inf, so the negated cut is -inf,
+    # and user 0 has seen two of the +inf items
+    table = _catalog_table()
+    model = _model([[1e200], [1e200], [1e200]], [[1e200], [1e200], [1e200], [1.0]])
+    assert [(r.item_index, r.score) for r in top_k(model, table, 0, 1)] == [(2, np.inf)]
+    assert [(r.item_index, r.score) for r in top_k(model, table, 0, 2)] == [
+        (2, np.inf), (3, 1e200)]
+    for u, exclude_seen in ((0, True), (0, False), (1, True)):
+        for k in (1, 2, 3, 4, 5):
+            got = [(r.item_index, r.score) for r in top_k(model, table, u, k, exclude_seen)]
+            assert got == _oracle_top_k(model, table, u, k, exclude_seen)
+
+
 def test_model_and_table_shapes_must_match():
     table = _catalog_table()  # 3 users, 4 items
     for users, items in ((3, 5), (3, 3), (2, 4), (4, 4)):
