@@ -8,8 +8,17 @@ normal equations are
 
 where ``Y_u`` stacks the fixed factors of the row's observed partners, and
 ``n_u`` is the row's observation count (weighted regularization).  The k x k
-system is solved by Cholesky factorization.  The training objective recorded
-after every half-step is the matching weighted form
+system is solved by Cholesky factorization.  A row narrower than the rank
+(padded width w < k, below) is solved in dual form when lambda > 0: with
+c = lambda * n_u, the push-through identity
+
+    (Y_u' Y_u + c I_k)^-1 Y_u' r_u = Y_u' (Y_u Y_u' + c I_w)^-1 r_u
+
+gives the same x_u from a w x w system, whose smallest eigenvalue is never
+below the k x k one's.  The identity needs c > 0; at lambda = 0 every row
+keeps the k x k system, so a singular one is still named by its row.  The
+training objective recorded after every half-step is the matching weighted
+form
 
     J = sum_observed (r_ui - x_u . y_i)^2
         + lambda * (sum_u n_u ||x_u||^2 + sum_i n_i ||y_i||^2)
@@ -24,10 +33,13 @@ factors are gathered zero-padded to that width (a zero row adds nothing to
 ``Y_u' Y_u`` or ``Y_u' r_u``), and each block of a bucket is one stacked
 matrix product.  The blocks' normal equations then go into solve batches of
 up to ``_BLOCK_ELEMENTS // k^2`` systems that span buckets, each one stacked
-Cholesky factorization and one stacked pair of triangular solves.  Block
-and batch boundaries depend only on the data and the rank, and every system
-is solved with the same arithmetic in any batch, so training is
-bit-reproducible for a fixed seed.
+Cholesky factorization and one stacked pair of triangular solves.  A block
+solved in dual form is one such solve of its own, on w x w systems, in
+which a padding slot's zero row leaves c alone on its diagonal and a zero
+in its right-hand side, so it adds nothing to x_u.  Block and batch
+boundaries and the choice of form depend only on the data and the rank,
+and every system is solved with the same arithmetic in any batch, so
+training is bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -268,9 +280,12 @@ def solve_half_step(
     ``group_by_item``).  Rows with no observations keep their current values.
     Rows are bucketed by observation count rounded up to a power of two, and
     their normal equations are formed a bucket block at a time and solved in
-    batches that span buckets (see the module docstring).  Raises
-    :class:`SolveError` naming a row whose normal matrix is not positive
-    definite.
+    batches that span buckets.  When ``regularization`` > 0, a bucket
+    narrower than the rank solves each block as w x w dual systems instead
+    (see the module docstring); at 0 the dual matrix of a padded or
+    rank-deficient row is singular, so every bucket stays in k x k form.
+    Raises :class:`SolveError` naming a row whose normal matrix is not
+    positive definite.
     """
     out = np.array(current, dtype=np.float64, copy=True)
     counts = np.diff(rows.indptr)
@@ -303,23 +318,31 @@ def solve_half_step(
     for width in np.unique(widths).tolist():
         bucket = solved[widths == width]
         slots = np.arange(width)
+        dual = width < k and regularization > 0
         block = max(1, _BLOCK_ELEMENTS // (max(width, k) * k))
         for lo in range(0, len(bucket), block):
             chunk = bucket[lo : lo + block]
-            if filled + len(chunk) > batch:
-                solve(filled)
-                filled = 0
             n = counts[chunk]
             pos = np.where(slots < n[:, None], starts[chunk][:, None] + slots, pad)
             gathered = padded_fixed[partners[pos]]
             transposed = gathered.transpose(0, 2, 1)
+            if dual:  # x = Y'(YY' + c I_w)^-1 r
+                gram = gathered @ transposed
+                gram[:, slots, slots] += regularization * n[:, None]
+                z = _cholesky_solve(gram, values[pos], chunk)
+                out[chunk] = (transposed @ z[:, :, None])[:, :, 0]
+                continue
+            if filled + len(chunk) > batch:
+                solve(filled)
+                filled = 0
             span = slice(filled, filled + len(chunk))
             normal = np.matmul(transposed, gathered, out=batch_normal[span])
             normal[:, diagonal, diagonal] += regularization * n[:, None]
             batch_rhs[span] = (transposed @ values[pos][:, :, None])[:, :, 0]
             batch_rows[span] = chunk
             filled += len(chunk)
-    solve(filled)
+    if filled:
+        solve(filled)
     return out
 
 

@@ -135,8 +135,7 @@ class RunConfig:
 # -- stages: each is called by its subcommand and by run_pipeline -------------
 def _ingest(items_path: str, reviews_path: str | None, out_dir: Path):
     """Parse the raw dumps; write interactions.jsonl (and reviews.jsonl) into ``out_dir``."""
-    with open(items_path, "r", encoding="utf-8") as handle:
-        interactions = ingest.parse_user_items(handle)
+    interactions = ingest.parse_user_items(ingest.read_lines(items_path))
     reviews = ingest.read_reviews_any(reviews_path) if reviews_path else []
     _atomic_write(out_dir / "interactions.jsonl",
                   lambda tmp: ingest.write_interactions_jsonl(interactions, tmp))

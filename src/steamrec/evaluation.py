@@ -83,24 +83,32 @@ def rmse(
     Cold-start triples are dropped and counted; if everything is dropped the
     evaluation fails.
     """
-    test_users, test_items, test_values = _columns(test)
-    train_users, train_items, _ = _columns(train_ratings)
-    warm = np.isin(test_users, train_users) & np.isin(test_items, train_items)
-    evaluated = int(np.count_nonzero(warm))
-    if not evaluated:
-        raise EvaluationError("every test triple was cold (unseen user or item)")
-    preds = row_dots(
-        model.item_factors[test_items[warm]], model.user_factors[test_users[warm]]
-    )
-    value = float(np.sqrt(np.mean(np.square(preds - test_values[warm]))))
-    return EvalReport(
-        rmse=value,
-        evaluated=evaluated,
-        dropped=len(warm) - evaluated,
-        strategy=strategy,
-        rank=model.rank,
-        regularization=model.regularization,
-    )
+    return _WarmTest(test, train_ratings).report(model, strategy)
+
+
+class _WarmTest:
+    """The test triples whose user and item both appear in training, and the
+    number of the others: the part of ``rmse`` that the model does not change."""
+
+    def __init__(self, test: Sequence, train_ratings: Sequence):
+        test_users, test_items, test_values = _columns(test)
+        train_users, train_items, _ = _columns(train_ratings)
+        warm = np.isin(test_users, train_users) & np.isin(test_items, train_items)
+        if not warm.any():
+            raise EvaluationError("every test triple was cold (unseen user or item)")
+        self.users, self.items, self.values = test_users[warm], test_items[warm], test_values[warm]
+        self.dropped = len(warm) - len(self.values)
+
+    def report(self, model: FactorModel, strategy: str) -> EvalReport:
+        preds = row_dots(model.item_factors[self.items], model.user_factors[self.users])
+        return EvalReport(
+            rmse=float(np.sqrt(np.mean(np.square(preds - self.values)))),
+            evaluated=len(self.values),
+            dropped=self.dropped,
+            strategy=strategy,
+            rank=model.rank,
+            regularization=model.regularization,
+        )
 
 
 def evaluate(
@@ -128,8 +136,8 @@ def sweep(
     split_config: SplitConfig,
     strategy: str = "",
 ) -> list[EvalReport]:
-    """One evaluation per rank, reusing the same split and its grouping for
-    every rank."""
+    """One evaluation per rank, reusing the same split, its grouping and its
+    warm test triples for every rank."""
     if not ranks:
         raise ConfigError("ranks must be nonempty")
     arr = _as_array(ratings)
@@ -137,10 +145,11 @@ def sweep(
     num_items = int(arr[:, 1].max()) + 1
     train_part, test_part = split(arr, split_config)
     by_user, by_item = group_by_user(train_part, num_users), group_by_item(train_part, num_items)
+    warm = _WarmTest(test_part, train_part)
     reports = []
     for rank in ranks:
         model = _fit(by_user, by_item, dataclasses.replace(train_config, rank=rank))
-        reports.append(rmse(model, test_part, train_part, strategy=strategy))
+        reports.append(warm.report(model, strategy))
     return reports
 
 

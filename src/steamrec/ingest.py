@@ -478,25 +478,43 @@ def write_interactions_jsonl(interactions: Iterable[Interaction], path: str | Pa
     _write_jsonl(map(_interaction_line, *Interactions.of(interactions).columns), path)
 
 
+def read_lines(path: str | Path) -> Iterator[str]:
+    """The lines of the UTF-8 text file ``path``, read as they are iterated.
+
+    A byte that is not UTF-8 is a ParseError naming its line: only then is
+    the file read again, with each such byte kept as a lone surrogate, to
+    find the first line holding one.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            yield from handle
+    except UnicodeDecodeError:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                if found := _SURROGATE_RE.search(line):
+                    byte = ord(found.group()) - 0xDC00
+                    raise ParseError(lineno, f"byte {byte:#04x} is not UTF-8") from None
+        raise  # the file changed between the two reads
+
+
 def _flat_records(path: str | Path, from_dict) -> Iterator:
     """``from_dict`` of each non-empty line; a bad line raises ParseError/FieldError naming it."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except (ValueError, RecursionError):
-                raise ParseError(lineno, "not a JSON value") from None
-            if not isinstance(record, dict):
-                raise ParseError(lineno, "record is not an object")
-            try:
-                checked = from_dict(record)
-            except KeyError as exc:
-                raise FieldError(lineno, f"missing required field {exc.args[0]!r}") from None
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise FieldError(lineno, str(exc)) from None
-            yield checked
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError):
+            raise ParseError(lineno, "not a JSON value") from None
+        if not isinstance(record, dict):
+            raise ParseError(lineno, "record is not an object")
+        try:
+            checked = from_dict(record)
+        except KeyError as exc:
+            raise FieldError(lineno, f"missing required field {exc.args[0]!r}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise FieldError(lineno, str(exc)) from None
+        yield checked
 
 
 def read_interactions_jsonl(path: str | Path) -> Interactions:
@@ -515,10 +533,9 @@ def read_reviews_jsonl(path: str | Path) -> list[Review]:
 
 def _sniff_key(path: str | Path, key: str) -> bool:
     """Whether the first non-empty line of ``path`` is a record holding ``key``."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in _numbered_lines(handle):
-            record = _loads_tolerant(line, lineno)
-            return isinstance(record, dict) and key in record
+    for lineno, line in _numbered_lines(read_lines(path)):
+        record = _loads_tolerant(line, lineno)
+        return isinstance(record, dict) and key in record
     return False
 
 
@@ -531,13 +548,11 @@ def read_reviews_any(path: str | Path) -> list[Review]:
     """
     if not _sniff_key(path, "reviews"):
         return read_reviews_jsonl(path)
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_reviews(handle)
+    return parse_reviews(read_lines(path))
 
 
 def read_interactions_any(path: str | Path) -> Interactions:
     """Read interactions from a raw user-items dump or a flat interactions.jsonl."""
     if not _sniff_key(path, "items"):
         return read_interactions_jsonl(path)
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_user_items(handle)
+    return parse_user_items(read_lines(path))

@@ -152,7 +152,7 @@ def _assert_rows_close(got, expected, rtol):
     assert np.all(np.linalg.norm(got - expected, axis=1) <= rtol * scale)
 
 
-@pytest.mark.parametrize("rank", [1, 3, 12])
+@pytest.mark.parametrize("rank", [1, 3, 12, 32, 64])
 def test_batched_half_step_matches_per_row_solve(rank):
     rng = np.random.default_rng(100 + rank)
     groups = _power_law_groups(rng, rows=400, partners=150, max_degree=150)
@@ -237,8 +237,43 @@ def test_a_solve_batch_spanning_buckets_gives_each_bucket_its_own_bits(monkeypat
     current = rng.random((len(groups), rank))
     batches = _counting_solves(monkeypatch)
     together = solve_half_step(fixed, _csr(groups), 0.1, current)
-    assert batches == [len(degrees) - 1]  # every solved row in one batch
+    widths = [_bucket(d) for d in degrees if d]
+    # each bucket narrower than the rank in its own call, the others in one batch
+    assert batches == [widths.count(w) for w in buckets if w < rank] + [
+        sum(w >= rank for w in widths)
+    ]
     for width in buckets:
+        alone = [(p, v) if len(p) and _bucket(len(p)) == width else (p[:0], v[:0])
+                 for p, v in groups]
+        rows = [row for row, d in enumerate(degrees) if d and _bucket(d) == width]
+        got = solve_half_step(fixed, _csr(alone), 0.1, current)
+        assert together[rows].tobytes() == got[rows].tobytes()
+
+
+def test_a_bucket_narrower_than_the_rank_gives_the_same_bits_alone(monkeypatch):
+    rank = 16
+    rng = np.random.default_rng(33)
+    # width-1 rows over three blocks, and rows of every width up to 64
+    degrees = [1] * (2 * _BLOCK_ELEMENTS // rank**2 + 5)
+    degrees += rng.integers(0, 50, size=300).tolist()
+    rng.shuffle(degrees)
+    groups = [
+        (rng.choice(60, size=d, replace=False), rng.integers(1, 6, size=d).astype(np.float64))
+        for d in degrees
+    ]
+    fixed = rng.random((60, rank)) / np.sqrt(rank)
+    current = rng.random((len(groups), rank))
+    sizes = []
+    original = als._cholesky_solve
+
+    def sized(normal, rhs, rows):
+        sizes.append(normal.shape[-1])
+        return original(normal, rhs, rows)
+
+    monkeypatch.setattr(als, "_cholesky_solve", sized)
+    together = solve_half_step(fixed, _csr(groups), 0.1, current)
+    assert sizes == [1, 1, 1, 2, 4, 8, rank]  # w x w systems below the rank
+    for width in (1, 2, 4, 8):
         alone = [(p, v) if len(p) and _bucket(len(p)) == width else (p[:0], v[:0])
                  for p, v in groups]
         rows = [row for row, d in enumerate(degrees) if d and _bucket(d) == width]

@@ -290,6 +290,24 @@ def test_negative_ratings_index_is_one_line_error_naming_the_line(tmp_path, caps
     assert not (tmp_path / "model.bin").exists()
 
 
+@pytest.mark.parametrize(
+    "name, record",
+    [
+        ("user_items.json", b"{'user_id': '%s', 'items': [{'item_id': '1', 'item_name': '%s'}]}"),
+        ("interactions.jsonl", b'{"user_id": "%s", "item_id": 1, "item_name": "%s", '
+                               b'"playtime_forever": 5.0, "playtime_2weeks": 0.0}'),
+    ],
+    ids=["raw", "flat"],
+)
+def test_stats_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys, name, record):
+    path = tmp_path / name
+    path.write_bytes(b"\n".join([record % (b"a", b"ok"), record % (b"b", b"\xff"), b""]))
+    code = main(["stats", "--items", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "steamrec: error: line 2: byte 0xff is not UTF-8\n"
+
+
 def test_atomic_write_failure_leaves_no_temp_and_keeps_old_artifact(tmp_path):
     target = tmp_path / "ratings.csv"
     target.write_text("old\n", encoding="utf-8")

@@ -468,6 +468,20 @@ def test_read_any_sniffs_both_formats(tmp_path):
     assert read_reviews_any(DATA_DIR / "mixed_reviews.jsonl") == reviews
 
 
+def test_a_byte_that_is_not_utf8_is_a_parse_error_naming_its_line(tmp_path):
+    path = tmp_path / "user_reviews.json"
+    # far past the reader's first chunk, with CRLF line ends
+    lines = [b"{'user_id': 'u%d', 'reviews': []}" % i for i in range(3000)]
+    lines[2499] = b"{'user_id': '\xe9', 'reviews': []}"
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(ParseError, match="^line 2500: byte 0xe9 is not UTF-8$"):
+        read_reviews_any(path)
+    # a sequence cut short by the end of the file
+    path.write_bytes(b"{'user_id': 'a', 'reviews': []}\n\n{'user_id': '\xc3")
+    with pytest.raises(ParseError, match="^line 3: byte 0xc3 is not UTF-8$"):
+        read_reviews_any(path)
+
+
 def _dumps_lines(records, to_dict):
     return "".join(json.dumps(to_dict(r), allow_nan=False) + "\n" for r in records)
 
