@@ -24,7 +24,9 @@ form
         + lambda * (sum_u n_u ||x_u||^2 + sum_i n_i ||y_i||^2)
 
 which each half-step minimizes exactly in its free block, so the loss trace
-is non-increasing.
+is non-increasing.  ``train`` computes it from the two CSRs the half-steps
+solve (below); one chunked residual sum backs its fit term, ``train_rmse``
+and the held-out RMSE.
 
 Each side of the ratings is held once as compressed sparse rows
 (``RatingCSR``).  A half-step solves its rows in batches: rows are bucketed
@@ -241,6 +243,13 @@ def group_by_item(ratings, num_items: int) -> RatingCSR:
     return _csr(items, users, values, num_items, "item")
 
 
+def _grouped(ratings, num_users: int, num_items: int) -> tuple[RatingCSR, RatingCSR]:
+    """``group_by_user`` and ``group_by_item`` of ``ratings``, from one conversion."""
+    users, items, values = _columns(ratings)
+    by_user = _csr(users, items, values, num_users, "user")
+    return by_user, _csr(items, users, values, num_items, "item")
+
+
 def _cholesky_solve(normal: np.ndarray, rhs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Solve a stack of positive-definite systems by Cholesky factorization.
 
@@ -353,34 +362,32 @@ def objective(
     regularization: float,
 ) -> float:
     """Weighted-regularization training objective J over the observed triples."""
-    return _Observed(ratings, len(user_factors), len(item_factors)).objective(
-        user_factors, item_factors, regularization
+    by_user, by_item = _grouped(ratings, len(user_factors), len(item_factors))
+    return _loss(user_factors, item_factors, by_user, by_item, regularization)
+
+
+def _loss(user_factors: np.ndarray, item_factors: np.ndarray, by_user: RatingCSR,
+          by_item: RatingCSR, regularization: float) -> float:
+    """``objective`` of ratings already grouped; the fit term sums in ``by_user`` order."""
+    user_counts, item_counts = np.diff(by_user.indptr), np.diff(by_item.indptr)
+    users = np.repeat(np.arange(len(by_user)), user_counts)
+    fit = _squared_error(user_factors, item_factors, (users, by_user.partners, by_user.values))
+    reg = regularization * (
+        float(user_counts @ row_dots(user_factors, user_factors))
+        + float(item_counts @ row_dots(item_factors, item_factors))
     )
+    return fit + reg
 
 
-class _Observed:
-    """The parts of the objective that the factors do not change: index
-    columns, ratings and per-row observation counts."""
-
-    def __init__(self, ratings, num_users: int, num_items: int):
-        self.users, self.items, self.values = _columns(ratings)
-        self.user_counts = np.bincount(self.users, minlength=num_users)
-        self.item_counts = np.bincount(self.items, minlength=num_items)
-
-    def objective(
-        self, user_factors: np.ndarray, item_factors: np.ndarray, regularization: float
-    ) -> float:
-        users, items, values = self.users, self.items, self.values
-        fit = 0.0
-        for lo in range(0, len(values), _OBJECTIVE_CHUNK):
-            hi = lo + _OBJECTIVE_CHUNK
-            preds = row_dots(user_factors[users[lo:hi]], item_factors[items[lo:hi]])
-            fit += float(np.sum((values[lo:hi] - preds) ** 2))
-        reg = regularization * (
-            float(self.user_counts @ row_dots(user_factors, user_factors))
-            + float(self.item_counts @ row_dots(item_factors, item_factors))
-        )
-        return fit + reg
+def _squared_error(user_factors: np.ndarray, item_factors: np.ndarray, columns) -> float:
+    """Sum of (r - x_u . y_i)^2 over (user, item, rating) ``columns``, in chunks."""
+    users, items, values = columns
+    total = 0.0
+    for lo in range(0, len(values), _OBJECTIVE_CHUNK):
+        hi = lo + _OBJECTIVE_CHUNK
+        preds = row_dots(user_factors[users[lo:hi]], item_factors[items[lo:hi]])
+        total += float(np.sum((values[lo:hi] - preds) ** 2))
+    return total
 
 
 def train(
@@ -402,10 +409,7 @@ def train(
     Returns:
         The trained model and the loss trace with one J value per half-step.
     """
-    arr = _as_array(ratings)
-    by_user = group_by_user(arr, num_users)
-    by_item = group_by_item(arr, num_items)
-    observed = _Observed(arr, num_users, num_items)
+    by_user, by_item = _grouped(ratings, num_users, num_items)
     lam = config.regularization
     trace = LossTrace()
     model = _fit(
@@ -413,7 +417,7 @@ def train(
         by_item,
         config,
         initial,
-        lambda users, items: trace.values.append(observed.objective(users, items, lam)),
+        lambda users, items: trace.values.append(_loss(users, items, by_user, by_item, lam)),
     )
     return model, trace
 
@@ -482,9 +486,9 @@ def predict(model: FactorModel, user_index: int, item_index: int) -> float:
 
 def train_rmse(model: FactorModel, ratings) -> float:
     """Root mean squared residual of the model on the given triples."""
-    users, items, values = _columns(ratings)
-    preds = row_dots(model.user_factors[users], model.item_factors[items])
-    return float(np.sqrt(np.mean((values - preds) ** 2)))
+    columns = _columns(ratings)
+    squared = _squared_error(model.user_factors, model.item_factors, columns)
+    return float(np.sqrt(squared / len(columns[2])))
 
 
 _MODEL_FORMAT = "als-factor-model"

@@ -15,10 +15,9 @@ from .als import (
     _as_array,
     _columns,
     _fit,
+    _grouped,
+    _squared_error,
     _triples,
-    group_by_item,
-    group_by_user,
-    row_dots,
 )
 from .errors import ConfigError, EvaluationError
 from .ingest import InteractionTable, Review
@@ -83,32 +82,39 @@ def rmse(
     Cold-start triples are dropped and counted; if everything is dropped the
     evaluation fails.
     """
-    return _WarmTest(test, train_ratings).report(model, strategy)
+    return _WarmTest(test, *_columns(train_ratings)[:2]).report(model, strategy)
 
 
 class _WarmTest:
     """The test triples whose user and item both appear in training, and the
     number of the others: the part of ``rmse`` that the model does not change."""
 
-    def __init__(self, test: Sequence, train_ratings: Sequence):
+    def __init__(self, test: Sequence, train_users: np.ndarray, train_items: np.ndarray):
         test_users, test_items, test_values = _columns(test)
-        train_users, train_items, _ = _columns(train_ratings)
         warm = np.isin(test_users, train_users) & np.isin(test_items, train_items)
         if not warm.any():
             raise EvaluationError("every test triple was cold (unseen user or item)")
-        self.users, self.items, self.values = test_users[warm], test_items[warm], test_values[warm]
-        self.dropped = len(warm) - len(self.values)
+        self.columns = test_users[warm], test_items[warm], test_values[warm]
+        self.evaluated, self.dropped = int(warm.sum()), int((~warm).sum())
 
     def report(self, model: FactorModel, strategy: str) -> EvalReport:
-        preds = row_dots(model.item_factors[self.items], model.user_factors[self.users])
+        squared = _squared_error(model.user_factors, model.item_factors, self.columns)
         return EvalReport(
-            rmse=float(np.sqrt(np.mean(np.square(preds - self.values)))),
-            evaluated=len(self.values),
+            rmse=float(np.sqrt(squared / self.evaluated)),
+            evaluated=self.evaluated,
             dropped=self.dropped,
             strategy=strategy,
             rank=model.rank,
             regularization=model.regularization,
         )
+
+
+def _held_out(arr: np.ndarray, num_users: int, num_items: int, split_config: SplitConfig):
+    """Split ``arr``: its train side grouped from one conversion, and its warm test."""
+    train_part, test_part = split(arr, split_config)
+    by_user, by_item = _grouped(train_part, num_users, num_items)
+    seen = (np.flatnonzero(np.diff(rows.indptr)) for rows in (by_user, by_item))
+    return by_user, by_item, _WarmTest(test_part, *seen)
 
 
 def evaluate(
@@ -123,10 +129,8 @@ def evaluate(
 
     The model is the one ``train`` gives on the train side, bit for bit.
     """
-    train_part, test_part = split(_as_array(ratings), split_config)
-    by_user, by_item = group_by_user(train_part, num_users), group_by_item(train_part, num_items)
-    model = _fit(by_user, by_item, train_config)
-    return rmse(model, test_part, train_part, strategy=strategy)
+    by_user, by_item, warm = _held_out(_as_array(ratings), num_users, num_items, split_config)
+    return warm.report(_fit(by_user, by_item, train_config), strategy)
 
 
 def sweep(
@@ -143,9 +147,7 @@ def sweep(
     arr = _as_array(ratings)
     num_users = int(arr[:, 0].max()) + 1
     num_items = int(arr[:, 1].max()) + 1
-    train_part, test_part = split(arr, split_config)
-    by_user, by_item = group_by_user(train_part, num_users), group_by_item(train_part, num_items)
-    warm = _WarmTest(test_part, train_part)
+    by_user, by_item, warm = _held_out(arr, num_users, num_items, split_config)
     reports = []
     for rank in ranks:
         model = _fit(by_user, by_item, dataclasses.replace(train_config, rank=rank))

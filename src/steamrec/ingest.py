@@ -490,11 +490,20 @@ def read_lines(path: str | Path) -> Iterator[str]:
             yield from handle
     except UnicodeDecodeError:
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if found := _SURROGATE_RE.search(line):
-                    byte = ord(found.group()) - 0xDC00
-                    raise ParseError(lineno, f"byte {byte:#04x} is not UTF-8") from None
-        raise  # the file changed between the two reads
+            found = undecodable_line(handle)
+        if found is None:
+            raise  # the file changed between the two reads
+        raise ParseError(*found) from None
+
+
+def undecodable_line(lines: Iterable[str]) -> tuple[int, str] | None:
+    """The 1-based number of the first of ``lines`` (decoded with
+    ``errors="surrogateescape"``) that holds a byte that is not UTF-8, and a
+    message naming the byte; None when no line holds one."""
+    for lineno, line in enumerate(lines, start=1):
+        if found := _SURROGATE_RE.search(line):
+            return lineno, f"byte {ord(found.group()) - 0xDC00:#04x} is not UTF-8"
+    return None
 
 
 def _flat_records(path: str | Path, from_dict) -> Iterator:

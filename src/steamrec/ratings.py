@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .als import _triples
-from .ingest import InteractionTable, Review
+from .ingest import InteractionTable, Review, undecodable_line
 from .sentiment import Lexicon, SentimentClass, classify, score
 
 logger = logging.getLogger(__name__)
@@ -225,8 +225,15 @@ def read_ratings_array(path: str | Path) -> np.ndarray:
     Raises ``ValueError`` for a wrong header, and naming the line for a row
     that is not three integers, has a negative index or a rating outside 1..5.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        lines = handle.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            lines = handle.read().splitlines()
+    except UnicodeDecodeError:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
+            found = undecodable_line(handle.read().splitlines())
+        if found is None:
+            raise  # the file changed between the two reads
+        raise ValueError(f"{path}: line {found[0]}: {found[1]}") from None
     if not lines or lines[0].split(",") != RATINGS_CSV_HEADER:
         raise ValueError(f"{path}: expected header {','.join(RATINGS_CSV_HEADER)}")
     body = lines[1:]

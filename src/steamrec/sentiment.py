@@ -19,6 +19,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from .ingest import undecodable_line
+
 NORMALIZATION_ALPHA = 15.0
 NEGATION_FACTOR = -0.74
 NEGATION_WINDOW = 3
@@ -110,16 +112,23 @@ class Lexicon:
 def load_lexicon(path: str | Path) -> Lexicon:
     """Load a ``token<TAB>valence`` file; ``#`` lines are comments."""
     valences: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'token<TAB>valence'")
-            token, raw = parts
-            valences[token.strip().lower()] = float(raw)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 2:
+                    raise ValueError(f"{path}:{lineno}: expected 'token<TAB>valence'")
+                token, raw = parts
+                valences[token.strip().lower()] = float(raw)
+    except UnicodeDecodeError:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+            found = undecodable_line(handle)
+        if found is None:
+            raise  # the file changed between the two reads
+        raise ValueError(f"{path}:{found[0]}: {found[1]}") from None
     if not valences:
         raise ValueError(f"{path}: lexicon has no entries")
     return Lexicon(valences=valences)

@@ -358,9 +358,12 @@ def test_loss_trace_non_increasing_on_random_instances():
         assert trace.is_non_increasing(rel_tol=1e-9)
 
 
-def test_loss_trace_equals_public_objective_bit_for_bit():
+def test_loss_trace_equals_public_objective_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(8)
-    for num_users, num_items, count in ((12, 9, 60), (40, 25, 300), (7, 30, 90)):
+    cases = ((12, 9, 60), (40, 25, 300), (7, 30, 90), (40, 25, 300))
+    chunks = (als._OBJECTIVE_CHUNK,) * 3 + (7,)  # the last case sums 7 rows at a time
+    for (num_users, num_items, count), chunk in zip(cases, chunks):
+        monkeypatch.setattr(als, "_OBJECTIVE_CHUNK", chunk)
         arr = random_rating_array(rng, num_users, num_items, count)
         config = TrainConfig(rank=3, iterations=3, regularization=0.1, seed=5)
         _, trace = train(arr, num_users, num_items, config)

@@ -308,6 +308,27 @@ def test_stats_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys, name,
     assert captured.err == "steamrec: error: line 2: byte 0xff is not UTF-8\n"
 
 
+def test_train_names_the_line_of_a_byte_that_is_not_utf8_in_ratings(tmp_path, capsys):
+    path = tmp_path / "ratings.csv"
+    path.write_bytes(b"user_index,item_index,rating\n0,0,5\n1,\xff1,4\n2,2,3\n")
+    code = main(["train", "--ratings", str(path), "--out", str(tmp_path / "model.bin")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"steamrec: error: {path}: line 3: byte 0xff is not UTF-8\n"
+    assert not (tmp_path / "model.bin").exists()
+
+
+def test_pipeline_names_the_line_of_a_byte_that_is_not_utf8_in_a_lexicon(tmp_path, capsys):
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_bytes(b"good\t2.0\nbad\xff\t-2.0\n")
+    code = main(_pipeline_args(tmp_path, extra=["--lexicon", str(lexicon)]))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (
+        f"steamrec: stage 'derive' failed: {lexicon}:2: byte 0xff is not UTF-8\n"
+    )
+
+
 def test_atomic_write_failure_leaves_no_temp_and_keeps_old_artifact(tmp_path):
     target = tmp_path / "ratings.csv"
     target.write_text("old\n", encoding="utf-8")

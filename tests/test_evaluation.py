@@ -284,13 +284,68 @@ def test_evaluate_and_sweep_never_compute_the_objective(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the objective was computed")
 
-    monkeypatch.setattr(als._Observed, "objective", refuse)
+    monkeypatch.setattr(als, "_loss", refuse)
     arr = planted_ratings(num_users=30, num_items=20, seed=4)
     config, split_config = TrainConfig(rank=2, iterations=3, seed=1), SplitConfig(seed=1)
     evaluate(arr, 30, 20, config, split_config)
     sweep(arr, [1, 2], config, split_config)
     with pytest.raises(AssertionError, match="objective"):
         train(arr, 30, 20, config)  # the patch is live
+
+
+def test_train_evaluate_and_sweep_convert_the_train_ratings_once(monkeypatch):
+    calls = []
+    columns = als._columns
+
+    def counting(ratings):
+        calls.append(len(ratings))
+        return columns(ratings)
+
+    monkeypatch.setattr(als, "_columns", counting)
+    arr = planted_ratings(num_users=30, num_items=20, seed=5)
+    config, split_config = TrainConfig(rank=2, iterations=2, seed=1), SplitConfig(seed=1)
+    train_size = len(split(arr, split_config)[0])
+    for call, converted in (
+        (lambda: train(arr, 30, 20, config), len(arr)),
+        (lambda: evaluate(arr, 30, 20, config, split_config), train_size),
+        (lambda: sweep(arr, [1, 2], config, split_config), train_size),
+    ):
+        calls.clear()
+        call()
+        assert calls == [converted]
+
+
+def test_every_residual_sum_matches_one_numpy_pass_across_chunks(monkeypatch):
+    monkeypatch.setattr(als, "_OBJECTIVE_CHUNK", 7)
+    rng = np.random.default_rng(17)
+    arr = planted_ratings(num_users=40, num_items=25, seed=9)
+    arr = arr[rng.permutation(len(arr))]  # not user-major: the fit term sums in CSR order
+    arr[:, 2] += rng.normal(scale=0.3, size=len(arr))
+    users, items, values = arr[:, 0].astype(np.intp), arr[:, 1].astype(np.intp), arr[:, 2]
+    config = TrainConfig(rank=3, iterations=3, regularization=0.1, seed=2)
+    split_config = SplitConfig(seed=4)
+    model, _ = train(arr, 40, 25, config)
+    x, y = model.user_factors, model.item_factors
+
+    def squared(u, i, r):
+        return np.sum((r - np.sum(x[u] * y[i], axis=1)) ** 2)
+
+    fit = squared(users, items, values)
+    reg = 0.1 * (np.bincount(users, minlength=40) @ np.sum(x**2, axis=1)
+                 + np.bincount(items, minlength=25) @ np.sum(y**2, axis=1))
+    assert als.objective(x, y, arr, 0.1) == pytest.approx(fit + reg, rel=1e-12, abs=0)
+    assert als.train_rmse(model, arr) == pytest.approx(np.sqrt(fit / len(arr)), rel=1e-12, abs=0)
+
+    train_part, test_part = split(arr, split_config)
+    model, _ = train(train_part, 40, 25, config)
+    x, y = model.user_factors, model.item_factors
+    warm = np.isin(test_part[:, 0], train_part[:, 0]) & np.isin(test_part[:, 1], train_part[:, 1])
+    assert 7 < warm.sum() < len(warm)
+    warm_rows = test_part[warm]
+    expected = np.sqrt(squared(*warm_rows[:, :2].astype(np.intp).T, warm_rows[:, 2]) / warm.sum())
+    for report in (rmse(model, test_part, train_part), evaluate(arr, 40, 25, config, split_config)):
+        assert report.rmse == pytest.approx(expected, rel=1e-12, abs=0)
+        assert (report.evaluated, report.dropped) == (warm.sum(), len(warm) - warm.sum())
 
 
 @pytest.mark.parametrize(
