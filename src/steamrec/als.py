@@ -47,13 +47,14 @@ training is bit-reproducible for a fixed seed.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, SolveError
+from .errors import ConfigError, SolveError, check_type
 
 MAX_RANK = 200
 _OBJECTIVE_CHUNK = 1 << 16
@@ -64,7 +65,7 @@ _BLOCK_ELEMENTS = 1 << 18
 
 @dataclass(frozen=True)
 class TrainConfig:
-    rank: int
+    rank: int = 30
     iterations: int = 10
     regularization: float = 0.1
     seed: int = 42
@@ -76,6 +77,9 @@ class TrainConfig:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if not self.regularization >= 0:
             raise ConfigError(f"regularization must be >= 0, got {self.regularization}")
+        if not math.isfinite(self.regularization):
+            raise ConfigError(
+                f"regularization must be finite and >= 0, got {self.regularization}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
@@ -509,8 +513,10 @@ def save_model(model: FactorModel, path: str | Path) -> None:
         "num_users": model.num_users,
         "num_items": model.num_items,
     }
+    # dumped before the file opens: a value JSON cannot hold leaves no file behind
+    line = json.dumps(header, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "wb") as handle:
-        handle.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
+        handle.write(line.encode("utf-8"))
         np.save(handle, np.ascontiguousarray(model.user_factors), allow_pickle=False)
         np.save(handle, np.ascontiguousarray(model.item_factors), allow_pickle=False)
 
@@ -519,7 +525,8 @@ def load_model(path: str | Path) -> FactorModel:
     """Read a container written by :func:`save_model`.
 
     Raises ``ValueError`` when the file is not such a container, is
-    truncated, or its header disagrees with the arrays it holds.
+    truncated, its header disagrees with the arrays it holds, or a header
+    field is out of its type or range (the error names the field).
     """
     with open(path, "rb") as handle:
         try:
@@ -543,12 +550,17 @@ def load_model(path: str | Path) -> FactorModel:
     if declared != found:
         raise ValueError(f"{path}: header declares factor shapes {declared}, file holds {found}")
     try:
-        return FactorModel(
-            user_factors=user_factors,
-            item_factors=item_factors,
-            rank=rank,
-            regularization=header["regularization"],
-            seed=header["seed"],
-        )
+        regularization, seed = header["regularization"], header["seed"]
     except KeyError as exc:
         raise ValueError(f"{path}: header lacks {exc}") from None
+    for key in ("rank", "num_users", "num_items", "seed"):
+        check_type(header[key], int, f"{path}: header field {key!r}", ValueError,
+                   optional=key == "seed")
+    check_type(regularization, float, f"{path}: header field 'regularization'", ValueError)
+    if not 0 <= regularization < math.inf:
+        raise ValueError(f"{path}: header field 'regularization' must be finite and >= 0, "
+                         f"got {regularization!r}")
+    if seed is not None and seed < 0:
+        raise ValueError(f"{path}: header field 'seed' must be >= 0, got {seed!r}")
+    return FactorModel(user_factors=user_factors, item_factors=item_factors, rank=rank,
+                       regularization=regularization, seed=seed)

@@ -65,21 +65,29 @@ def _check_reviews(strategy: ratings.Strategy, reviews_path: str | None) -> None
         raise ConfigError(f"strategy {strategy.value!r} requires a reviews file")
 
 
-# The config file's top-level keys; "workers" is accepted and ignored.
-_CONFIG_KEYS = {"items", "out_dir", "reviews", "lexicon", "strategy", "train", "split", "k",
-                "users", "workers"}
+# flag -> config key, "section.key" for a key inside a section.  --lambda sets
+# "lambda", which _sections prefers over "regularization", so the flag wins.
+_CONFIG_FLAGS = {
+    "items": "items", "reviews": "reviews", "lexicon": "lexicon", "out_dir": "out_dir",
+    "strategy": "strategy", "k": "k", "users": "users", "rank": "train.rank",
+    "iters": "train.iterations", "regularization": "train.lambda", "seed": "train.seed",
+    "split": "split.fraction", "split_seed": "split.seed",
+}
+# The config file's top-level keys: the flags' and "workers", which is accepted and ignored.
+_CONFIG_KEYS = {path.partition(".")[0] for path in _CONFIG_FLAGS.values()} | {"workers"}
 
 
 @dataclass
 class RunConfig:
-    """Pipeline run configuration; mirrors the JSON config file."""
+    """Pipeline run configuration; mirrors the JSON config file.  Its defaults, with
+    TrainConfig's and SplitConfig's, are the only place a run default is written."""
 
     items_path: str
     out_dir: str
     reviews_path: str | None = None
     lexicon_path: str | None = None
     strategy: ratings.Strategy = ratings.Strategy.PLAYTIME_ONLY
-    train: als.TrainConfig = field(default_factory=lambda: als.TrainConfig(rank=30))
+    train: als.TrainConfig = field(default_factory=als.TrainConfig)
     split: evaluation.SplitConfig = field(default_factory=evaluation.SplitConfig)
     k: int = 5
     users: list[str] | None = None
@@ -101,18 +109,7 @@ class RunConfig:
         unknown = sorted(set(data) - _CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"unknown top-level keys: {unknown}")
-        train_cfg = dict(check_type(data.get("train", {}), dict, "'train'"))
-        if "lambda" in train_cfg:
-            train_cfg["regularization"] = train_cfg.pop("lambda")
-        split_cfg = check_type(data.get("split", {}), dict, "'split'")
-        for name, section, kind in (("train", train_cfg, als.TrainConfig),
-                                    ("split", split_cfg, evaluation.SplitConfig)):
-            types = get_type_hints(kind)
-            unknown = sorted(set(section) - set(types))
-            if unknown:
-                raise ConfigError(f"unknown {name!r} keys: {unknown}")
-            for key, value in section.items():
-                check_type(value, types[key], f"'{name}.{key}'")
+        train_cfg, split_cfg = _sections(data)
         users = check_type(data.get("users"), list, "'users'", optional=True)
         for user in users or ():
             check_type(user, str, "each of 'users'")
@@ -122,14 +119,51 @@ class RunConfig:
                 out_dir=check_type(data.get("out_dir", ""), str, "'out_dir'"),
                 reviews_path=check_type(data.get("reviews"), str, "'reviews'", optional=True),
                 lexicon_path=check_type(data.get("lexicon"), str, "'lexicon'", optional=True),
-                strategy=ratings.Strategy(data.get("strategy", "playtime")),
-                train=als.TrainConfig(rank=train_cfg.pop("rank", 30), **train_cfg),
+                # cls.strategy and cls.k are the field defaults
+                strategy=ratings.Strategy(data.get("strategy", cls.strategy)),
+                train=als.TrainConfig(**train_cfg),
                 split=evaluation.SplitConfig(**split_cfg),
-                k=check_type(data.get("k", 5), int, "'k'"),
+                k=check_type(data.get("k", cls.k), int, "'k'"),
                 users=users,
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad run configuration: {exc}") from exc
+
+
+def _sections(data: dict) -> tuple[dict, dict]:
+    """The config's "train" and "split" objects as TrainConfig and SplitConfig keywords;
+    a non-object, an unknown key or a value of the wrong type is a ConfigError."""
+    train_cfg = dict(check_type(data.get("train", {}), dict, "'train'"))
+    if "lambda" in train_cfg:
+        train_cfg["regularization"] = train_cfg.pop("lambda")
+    split_cfg = check_type(data.get("split", {}), dict, "'split'")
+    for name, section, kind in (("train", train_cfg, als.TrainConfig),
+                                ("split", split_cfg, evaluation.SplitConfig)):
+        types = get_type_hints(kind)
+        unknown = sorted(set(section) - set(types))
+        if unknown:
+            raise ConfigError(f"unknown {name!r} keys: {unknown}")
+        for key, value in section.items():
+            check_type(value, types[key], f"'{name}.{key}'")
+    return train_cfg, split_cfg
+
+
+def _overlay(data: dict, args) -> dict:
+    """``data`` with the config key of each flag that ``args`` was given set to its value."""
+    for flag, path in _CONFIG_FLAGS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            section, _, key = path.rpartition(".")
+            target = check_type(data.setdefault(section, {}), dict, repr(section)) if section else data
+            target[key] = value
+    return data
+
+
+def _flag_configs(args, **train) -> tuple[als.TrainConfig, evaluation.SplitConfig]:
+    """The configs a subcommand's flags and ``train`` keywords give, the split checked first."""
+    train_cfg, split_cfg = _sections(_overlay({}, args))
+    split = evaluation.SplitConfig(**split_cfg)
+    return als.TrainConfig(**train, **train_cfg), split
 
 
 # -- stages: each is called by its subcommand and by run_pipeline -------------
@@ -272,23 +306,18 @@ def _read_ratings(path: str) -> tuple[np.ndarray, int, int]:
     return rows, num_users, num_items
 
 
-def _train_config(args, rank: int) -> als.TrainConfig:
-    return als.TrainConfig(rank=rank, iterations=args.iters,
-                           regularization=args.regularization, seed=args.seed)
-
-
 def cmd_train(args) -> int:
     rows, num_users, num_items = _read_ratings(args.ratings)
-    _, trace = _train(rows, num_users, num_items, _train_config(args, args.rank), Path(args.out))
-    print(f"trained rank-{args.rank} model on {len(rows)} ratings "
+    config, _ = _flag_configs(args)
+    _, trace = _train(rows, num_users, num_items, config, Path(args.out))
+    print(f"trained rank-{config.rank} model on {len(rows)} ratings "
           f"(final objective {trace.values[-1]:.4f}); wrote {args.out}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
     rows, num_users, num_items = _read_ratings(args.ratings)
-    split = evaluation.SplitConfig(fraction=args.split, seed=args.split_seed)
-    train_config = _train_config(args, args.rank)
+    train_config, split = _flag_configs(args)
     _, text = _evaluate(rows, num_users, num_items, train_config, split, args.strategy)
     sys.stdout.write(text)
     return 0
@@ -299,8 +328,9 @@ def cmd_sweep(args) -> int:
     if not ranks:
         raise ConfigError(f"--ranks {args.ranks!r} names no rank")
     rows, _, _ = _read_ratings(args.ratings)
-    split = evaluation.SplitConfig(fraction=args.split, seed=args.split_seed)
-    reports = evaluation.sweep(rows, ranks, _train_config(args, ranks[0]), split)
+    # the first rank stands in the config, so a bad one fails before the split
+    train_config, split = _flag_configs(args, rank=ranks[0])
+    reports = evaluation.sweep(rows, ranks, train_config, split)
     sys.stdout.write(evaluation.sweep_csv(reports))
     return 0
 
@@ -312,29 +342,12 @@ def cmd_recommend(args) -> int:
     return 0
 
 
-# pipeline flag -> config key, "section.key" for a key inside a section.  --lambda
-# sets "lambda", which from_mapping prefers over "regularization", so the flag wins.
-_PIPELINE_FLAGS = {
-    "items": "items", "reviews": "reviews", "lexicon": "lexicon", "out_dir": "out_dir",
-    "strategy": "strategy", "k": "k", "users": "users", "rank": "train.rank",
-    "iters": "train.iterations", "regularization": "train.lambda", "seed": "train.seed",
-    "split": "split.fraction", "split_seed": "split.seed",
-}
-
-
 def cmd_pipeline(args) -> int:
     data = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             data = check_type(json.load(handle), dict, "the run configuration")
-    for flag, path in _PIPELINE_FLAGS.items():
-        value = getattr(args, flag)
-        if value is not None:
-            section, _, key = path.rpartition(".")
-            target = check_type(data.setdefault(section, {}), dict, repr(section)) if section else data
-            target[key] = value
-
-    artifacts = run_pipeline(RunConfig.from_mapping(data))
+    artifacts = run_pipeline(RunConfig.from_mapping(_overlay(data, args)))
     for name, path in artifacts.items():
         print(f"{name}: {path}")
     return 0
@@ -344,23 +357,23 @@ def _comma_list(text: str) -> list[str]:
     return [part for part in text.split(",") if part]
 
 
-def _add_workers(parser: argparse.ArgumentParser) -> None:
+def _add_fit_flags(parser: argparse.ArgumentParser, *then: tuple[str, dict],
+                   rank: bool = True, split: bool = True) -> None:
+    """--rank, --iters, --lambda, --seed, the split flags, the subcommand's ``then``
+    (flag, keywords) pairs and --workers.  The fit flags default to None: a given
+    one overlays the config, and TrainConfig and SplitConfig hold the defaults."""
+    if rank:
+        parser.add_argument("--rank", type=int)
+    parser.add_argument("--iters", type=int)
+    parser.add_argument("--lambda", dest="regularization", type=float)
+    parser.add_argument("--seed", type=int)
+    if split:
+        parser.add_argument("--split", type=float, help="train fraction")
+        parser.add_argument("--split-seed", type=int)
+    for flag, options in then:
+        parser.add_argument(flag, **options)
     parser.add_argument("--workers", type=int, help="accepted for compatibility; the ALS solver is "
                         "batched and single-threaded, so this changes neither results nor speed")
-
-
-def _add_train_flags(parser: argparse.ArgumentParser, with_defaults: bool) -> None:
-    default = (lambda v: v) if with_defaults else (lambda v: None)
-    parser.add_argument("--rank", type=int, default=default(30))
-    parser.add_argument("--iters", type=int, default=default(10))
-    parser.add_argument("--lambda", dest="regularization", type=float, default=default(0.1))
-    parser.add_argument("--seed", type=int, default=default(42))
-
-
-def _add_split_flags(parser: argparse.ArgumentParser, with_defaults: bool) -> None:
-    default = (lambda v: v) if with_defaults else (lambda v: None)
-    parser.add_argument("--split", type=float, default=default(0.8), help="train fraction")
-    parser.add_argument("--split-seed", type=int, default=default(42))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -397,33 +410,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interactions", required=True)
     p.add_argument("--reviews")
     p.add_argument("--lexicon")
-    p.add_argument("--strategy", choices=[s.value for s in ratings.Strategy], default="playtime")
+    p.add_argument("--strategy", choices=[s.value for s in ratings.Strategy],
+                   default=RunConfig.strategy.value)
     p.add_argument("--out", default="ratings.csv")
     p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("train", help="train an ALS factor model")
     p.add_argument("--ratings", required=True)
-    _add_train_flags(p, with_defaults=True)
-    p.add_argument("--out", default="model.bin")
-    _add_workers(p)
+    _add_fit_flags(p, ("--out", {"default": "model.bin"}), split=False)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="hold-out RMSE evaluation")
     p.add_argument("--ratings", required=True)
-    _add_train_flags(p, with_defaults=True)
-    _add_split_flags(p, with_defaults=True)
-    p.add_argument("--strategy", default="", help="strategy label for the report")
-    _add_workers(p)
+    _add_fit_flags(p, ("--strategy", {"default": "", "help": "strategy label for the report"}))
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="RMSE across latent-factor counts")
     p.add_argument("--ratings", required=True)
     p.add_argument("--ranks", required=True, help="comma-separated, e.g. 5,10,20,30,50")
-    p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--lambda", dest="regularization", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=42)
-    _add_split_flags(p, with_defaults=True)
-    _add_workers(p)
+    _add_fit_flags(p, rank=False)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("recommend", help="top-K items per user")
@@ -431,23 +436,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interactions", required=True)
     p.add_argument("--users", type=_comma_list, required=True,
                    help="comma-separated raw user ids")
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=int, default=RunConfig.k)
     p.add_argument("--include-seen", action="store_true")
     p.set_defaults(func=cmd_recommend)
 
     p = sub.add_parser("pipeline", help="run every stage from a config file")
     p.add_argument("--config", help="JSON run configuration")
-    p.add_argument("--items")
-    p.add_argument("--reviews")
-    p.add_argument("--lexicon")
-    p.add_argument("--out-dir")
+    for flag in ("--items", "--reviews", "--lexicon", "--out-dir"):
+        p.add_argument(flag)
     p.add_argument("--strategy", choices=[s.value for s in ratings.Strategy])
-    _add_train_flags(p, with_defaults=False)
-    _add_split_flags(p, with_defaults=False)
-    p.add_argument("--k", type=int)
-    p.add_argument("--users", type=_comma_list,
-                   help="comma-separated raw user ids to recommend for")
-    _add_workers(p)
+    _add_fit_flags(p, ("--k", {"type": int}), ("--users", {
+        "type": _comma_list, "help": "comma-separated raw user ids to recommend for"}))
     p.set_defaults(func=cmd_pipeline)
 
     return parser
@@ -462,7 +461,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except PipelineError as exc:
         print(f"steamrec: {exc}", file=sys.stderr)
         return 1
-    except (SteamrecError, OSError, ValueError) as exc:
+    except (SteamrecError, OSError, ValueError, MemoryError) as exc:
         print(f"steamrec: error: {exc}", file=sys.stderr)
         return 1
 

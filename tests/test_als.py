@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -42,6 +43,12 @@ def test_config_rejects_bad_iterations_and_lambda():
         TrainConfig(rank=1, iterations=0)
     with pytest.raises(ConfigError):
         TrainConfig(rank=1, regularization=-0.1)
+    with pytest.raises(ConfigError, match="regularization must be finite and >= 0, got inf"):
+        TrainConfig(rank=1, regularization=math.inf)
+
+
+def test_config_defaults_are_the_documented_ones():
+    assert TrainConfig() == TrainConfig(rank=30, iterations=10, regularization=0.1, seed=42)
 
 
 def test_init_is_deterministic():
@@ -563,8 +570,8 @@ def test_model_round_trip_and_deterministic_bytes(tmp_path):
     assert loaded.seed == 5
 
 
-def _saved_model_bytes(tmp_path):
-    model = init_model(4, 3, TrainConfig(rank=2, seed=1))
+def _saved_model_bytes(tmp_path, rank=2):
+    model = init_model(4, 3, TrainConfig(rank=rank, seed=1))
     path = tmp_path / "good.bin"
     save_model(model, path)
     return path.read_bytes()
@@ -602,3 +609,45 @@ def test_load_model_rejects_other_files(tmp_path):
     path.write_bytes(b'{"format": "something-else"}\n')
     with pytest.raises(ValueError):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "rank, change",
+    [
+        (1, {"rank": True}),
+        (2, {"num_users": 4.0}),
+        (2, {"num_items": 3.0}),
+        (2, {"regularization": "abc"}),
+        (2, {"regularization": math.nan}),
+        (2, {"regularization": math.inf}),
+        (2, {"regularization": -1}),
+        (2, {"regularization": True}),
+        (2, {"seed": "x"}),
+        (2, {"seed": -1}),
+        (2, {"seed": 1.5}),
+        (2, {"seed": False}),
+    ],
+)
+def test_load_model_names_a_header_field_out_of_its_type_or_range(tmp_path, rank, change):
+    header, rest = _saved_model_bytes(tmp_path, rank).split(b"\n", 1)
+    fields = {**json.loads(header), **change}
+    path = tmp_path / "bad.bin"
+    path.write_bytes(json.dumps(fields).encode() + b"\n" + rest)
+    (key,) = change
+    with pytest.raises(ValueError, match=f"bad.bin: header field '{key}'"):
+        load_model(path)
+
+
+def test_load_model_takes_a_null_seed_and_a_zero_integer_lambda(tmp_path):
+    path = tmp_path / "model.bin"
+    save_model(FactorModel(np.ones((2, 1)), np.ones((3, 1)), rank=1, regularization=0), path)
+    loaded = load_model(path)
+    assert (loaded.regularization, loaded.seed) == (0, None)
+
+
+def test_save_model_refuses_a_lambda_json_cannot_hold(tmp_path):
+    path = tmp_path / "model.bin"
+    with pytest.raises(ValueError, match="JSON"):
+        save_model(FactorModel(np.ones((2, 1)), np.ones((3, 1)), rank=1,
+                               regularization=math.inf), path)
+    assert not path.exists()

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,12 +12,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import steamrec
-from steamrec import cli
+from steamrec import als, cli, evaluation
 from steamrec.als import FactorModel, save_model
 from steamrec.cli import RunConfig, build_parser, main, run_pipeline
-from steamrec.errors import ConfigError, PipelineError
+from steamrec.errors import ConfigError, PipelineError, SteamrecError
+from steamrec.ratings import read_ratings_array, write_ratings_csv
 
-from .conftest import DATA_DIR
+from .conftest import DATA_DIR, random_rating_array
 
 ARTIFACTS = ["interactions.jsonl", "ratings.csv", "model.bin", "eval.json", "recommendations.json"]
 
@@ -724,3 +726,149 @@ def test_any_raw_items_file_exits_0_or_1_with_one_error_line(capsys, lines):
             assert code in (0, 1)
             if code == 1:
                 assert captured.err.count("\n") == 1 and captured.err.startswith("steamrec: ")
+
+
+def _ratings_file(directory: Path) -> tuple[Path, np.ndarray]:
+    path = directory / "ratings.csv"
+    write_ratings_csv(random_rating_array(np.random.default_rng(3), 12, 9, 60), path)
+    return path, read_ratings_array(path)
+
+
+def _fit_output(command, rows, ranks, train_config, split_config, out) -> tuple[str, bytes]:
+    """What ``command`` prints, and the model bytes train writes to ``out``, by library calls."""
+    num_users, num_items = (rows[:, :2].max(axis=0) + 1).tolist()
+    if command == "train":
+        model, trace = als.train(rows, num_users, num_items, train_config)
+        save_model(model, out)
+        return (f"trained rank-{train_config.rank} model on {len(rows)} ratings "
+                f"(final objective {trace.values[-1]:.4f}); wrote {out}\n"), out.read_bytes()
+    if command == "evaluate":
+        report = evaluation.evaluate(rows, num_users, num_items, train_config, split_config)
+        return json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n", b""
+    return evaluation.sweep_csv(evaluation.sweep(rows, ranks, train_config, split_config)), b""
+
+
+def _run_fit(capsys, command, path, flags, out) -> tuple[int, str, str, bytes]:
+    """main's exit code, stdout and stderr for ``command`` on ``path``, and the model it wrote
+    to ``out`` (empty when it wrote none)."""
+    out.unlink(missing_ok=True)
+    extra = {"train": ["--out", str(out)], "sweep": ["--ranks", "2,5"]}.get(command, [])
+    capsys.readouterr()
+    code = main([command, "--ratings", str(path), *flags, *extra])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, out.read_bytes() if out.exists() else b""
+
+
+_DOCUMENTED_FLAGS = {"--rank": "30", "--iters": "10", "--lambda": "0.1", "--seed": "42",
+                     "--split": "0.8", "--split-seed": "42"}
+_FIT_FLAGS = {"train": ["--rank", "--iters", "--lambda", "--seed"],
+              "evaluate": list(_DOCUMENTED_FLAGS),
+              "sweep": ["--iters", "--lambda", "--seed", "--split", "--split-seed"]}
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
+def test_fit_commands_default_to_the_library_configs(tmp_path, capsys, command):
+    path, rows = _ratings_file(tmp_path)
+    out = tmp_path / "model.bin"
+    expected = _fit_output(command, rows, [2, 5], als.TrainConfig(), evaluation.SplitConfig(),
+                           out)
+    documented = [f"{flag}={_DOCUMENTED_FLAGS[flag]}" for flag in _FIT_FLAGS[command]]
+    for flags in ([], documented):
+        code, stdout, stderr, model = _run_fit(capsys, command, path, flags, out)
+        assert (code, stderr) == (0, "")
+        assert (stdout, model) == expected
+
+
+# flag -> (config, keyword, values): in range, out of range and not finite.  A finite
+# lambda stays small: past about 1e306, lambda * n overflows in the half-step, a fault
+# of the solver and not of the route from flags to configs.
+_FIT_VALUES = {
+    "--rank": ("train", "rank", st.integers(1, 40) | st.integers(-1, 210)),
+    "--iters": ("train", "iterations", st.integers(-1, 3)),
+    "--lambda": ("train", "regularization",
+                 st.sampled_from([math.inf, -math.inf, math.nan, -1.0]) | st.floats(0, 1e3)),
+    "--seed": ("train", "seed", st.integers(-2, 2**40)),
+    "--split": ("split", "fraction",
+                st.floats(0.05, 0.95) | st.sampled_from([math.inf, math.nan, 0.0, 1.0])
+                | st.floats(-0.5, 1.5)),
+    "--split-seed": ("split", "seed", st.integers(-2, 2**40)),
+}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), command=st.sampled_from(["train", "evaluate", "sweep"]))
+def test_any_fit_flags_exit_0_with_the_library_output_or_1_with_its_error(capsys, data, command):
+    configs, flags = {"train": {}, "split": {}}, []
+    for flag in _FIT_FLAGS[command]:
+        section, key, values = _FIT_VALUES[flag]
+        value = data.draw(st.none() | values, label=flag)
+        if value is not None:
+            configs[section][key] = value
+            flags.append(f"{flag}={value!r}")
+    with tempfile.TemporaryDirectory() as work:
+        path, rows = _ratings_file(Path(work))
+        out = Path(work) / "model.bin"
+        try:
+            # the order the subcommands check in: ratings, split, then train
+            split_config = evaluation.SplitConfig(**configs["split"])
+            first_rank = {"rank": 2} if command == "sweep" else {}
+            train_config = als.TrainConfig(**{**configs["train"], **first_rank})
+            expected = _fit_output(command, rows, [2, 5], train_config, split_config, out)
+        except (SteamrecError, ValueError) as exc:
+            expected = exc
+        code, stdout, stderr, model = _run_fit(capsys, command, path, flags, out)
+    if isinstance(expected, Exception):
+        assert (code, stdout, model) == (1, "", b"")
+        assert stderr == f"steamrec: error: {expected}\n"
+    else:
+        assert (code, stderr) == (0, "")
+        assert (stdout, model) == expected
+
+
+def test_train_with_an_infinite_lambda_is_one_line_error_and_writes_no_model(tmp_path, capsys):
+    path, _ = _ratings_file(tmp_path)
+    code, stdout, stderr, model = _run_fit(capsys, "train", path, ["--lambda", "inf"],
+                                           tmp_path / "model.bin")
+    assert (code, stdout, model) == (1, "", b"")
+    assert stderr == "steamrec: error: regularization must be finite and >= 0, got inf\n"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_pipeline_with_an_infinite_lambda_in_its_config_is_one_line_error(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"items": str(DATA_DIR / "pipeline_items.jsonl"),
+                                  "out_dir": str(tmp_path / "out"),
+                                  "train": {"lambda": math.inf}}), encoding="utf-8")
+    assert "Infinity" in config.read_text(encoding="utf-8")
+    code = main(["pipeline", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "steamrec: error: regularization must be finite and >= 0, got inf\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_recommend_with_a_bad_header_field_is_one_line_error_naming_it(tmp_path, capsys):
+    assert main(_pipeline_args(tmp_path)) == 0
+    out = tmp_path / "out"
+    header, rest = (out / "model.bin").read_bytes().split(b"\n", 1)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(json.dumps({**json.loads(header), "seed": "x"}).encode() + b"\n" + rest)
+    capsys.readouterr()
+    code = main(["recommend", "--model", str(bad), "--interactions",
+                 str(out / "interactions.jsonl"), "--users", "player01"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (f"steamrec: error: {bad}: header field 'seed' must be an integer "
+                            "or null, got 'x'\n")
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
+def test_a_ratings_index_too_large_to_allocate_is_one_line_error(tmp_path, capsys, command):
+    # 10**15 users need petabytes, which numpy refuses at once, without trying
+    path = tmp_path / "ratings.csv"
+    path.write_text(f"user_index,item_index,rating\n0,0,5\n{10**15},1,4\n", encoding="utf-8")
+    code, stdout, stderr, model = _run_fit(capsys, command, path, [], tmp_path / "model.bin")
+    assert (code, stdout, model) == (1, "", b"")
+    assert stderr.count("\n") == 1 and stderr.startswith("steamrec: error: Unable to allocate")
