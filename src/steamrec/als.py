@@ -449,6 +449,10 @@ def _fit(
 
     user_factors, item_factors = initial.user_factors, initial.item_factors
     lam = config.regularization
+    # the rating count bounds every row's n in lambda * n, and the first loss's weights
+    count = len(by_user.values)
+    if math.isinf(float(lam) * count):
+        raise ConfigError(f"regularization {lam} times the {count} ratings overflows a float")
     for _ in range(config.iterations):
         user_factors = solve_half_step(item_factors, by_user, lam, user_factors)
         if after_half_step is not None:
@@ -513,8 +517,10 @@ def save_model(model: FactorModel, path: str | Path) -> None:
         "num_users": model.num_users,
         "num_items": model.num_items,
     }
-    # dumped before the file opens: a value JSON cannot hold leaves no file behind
+    # checked before the file opens: a value JSON cannot hold, or that load_model
+    # refuses, leaves no file behind
     line = json.dumps(header, sort_keys=True, allow_nan=False) + "\n"
+    _check_header(header, path)
     with open(path, "wb") as handle:
         handle.write(line.encode("utf-8"))
         np.save(handle, np.ascontiguousarray(model.user_factors), allow_pickle=False)
@@ -549,6 +555,14 @@ def load_model(path: str | Path) -> FactorModel:
     found = (user_factors.shape, item_factors.shape)
     if declared != found:
         raise ValueError(f"{path}: header declares factor shapes {declared}, file holds {found}")
+    _check_header(header, path)
+    return FactorModel(user_factors=user_factors, item_factors=item_factors, rank=rank,
+                       regularization=header["regularization"], seed=header["seed"])
+
+
+def _check_header(header: dict, path: str | Path) -> None:
+    """A ValueError naming ``path`` and the field when a model header field is
+    missing or out of its type or range."""
     try:
         regularization, seed = header["regularization"], header["seed"]
     except KeyError as exc:
@@ -562,5 +576,3 @@ def load_model(path: str | Path) -> FactorModel:
                          f"got {regularization!r}")
     if seed is not None and seed < 0:
         raise ValueError(f"{path}: header field 'seed' must be >= 0, got {seed!r}")
-    return FactorModel(user_factors=user_factors, item_factors=item_factors, rank=rank,
-                       regularization=regularization, seed=seed)

@@ -159,17 +159,17 @@ def _overlay(data: dict, args) -> dict:
     return data
 
 
-def _flag_configs(args, **train) -> tuple[als.TrainConfig, evaluation.SplitConfig]:
-    """The configs a subcommand's flags and ``train`` keywords give, the split checked first."""
+def _flag_configs(args) -> tuple[als.TrainConfig, evaluation.SplitConfig]:
+    """The configs a subcommand's flags give, the split checked first."""
     train_cfg, split_cfg = _sections(_overlay({}, args))
     split = evaluation.SplitConfig(**split_cfg)
-    return als.TrainConfig(**train, **train_cfg), split
+    return als.TrainConfig(**train_cfg), split
 
 
 # -- stages: each is called by its subcommand and by run_pipeline -------------
 def _ingest(items_path: str, reviews_path: str | None, out_dir: Path):
-    """Parse the raw dumps; write interactions.jsonl (and reviews.jsonl) into ``out_dir``."""
-    interactions = ingest.parse_user_items(ingest.read_lines(items_path))
+    """Read dumps or flat tables; write interactions.jsonl (and reviews.jsonl) into ``out_dir``."""
+    interactions = ingest.read_interactions_any(items_path)
     reviews = ingest.read_reviews_any(reviews_path) if reviews_path else []
     _atomic_write(out_dir / "interactions.jsonl",
                   lambda tmp: ingest.write_interactions_jsonl(interactions, tmp))
@@ -328,8 +328,7 @@ def cmd_sweep(args) -> int:
     if not ranks:
         raise ConfigError(f"--ranks {args.ranks!r} names no rank")
     rows, _, _ = _read_ratings(args.ratings)
-    # the first rank stands in the config, so a bad one fails before the split
-    train_config, split = _flag_configs(args, rank=ranks[0])
+    train_config, split = _flag_configs(args)
     reports = evaluation.sweep(rows, ranks, train_config, split)
     sys.stdout.write(evaluation.sweep_csv(reports))
     return 0

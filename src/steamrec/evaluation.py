@@ -34,6 +34,8 @@ class SplitConfig:
     def __post_init__(self):
         if not 0.0 < self.fraction < 1.0:
             raise ConfigError(f"train fraction must be in (0, 1), got {self.fraction}")
+        if self.seed < 0:
+            raise ConfigError(f"split seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -109,12 +111,15 @@ class _WarmTest:
         )
 
 
-def _held_out(arr: np.ndarray, num_users: int, num_items: int, split_config: SplitConfig):
-    """Split ``arr``: its train side grouped from one conversion, and its warm test."""
+def _held_out(arr: np.ndarray, num_users: int, num_items: int, configs: list[TrainConfig],
+              split_config: SplitConfig, strategy: str) -> list[EvalReport]:
+    """Split ``arr`` once, group its train side and find its warm test triples once,
+    then fit each config on the train side and report it."""
     train_part, test_part = split(arr, split_config)
     by_user, by_item = _grouped(train_part, num_users, num_items)
     seen = (np.flatnonzero(np.diff(rows.indptr)) for rows in (by_user, by_item))
-    return by_user, by_item, _WarmTest(test_part, *seen)
+    warm = _WarmTest(test_part, *seen)
+    return [warm.report(_fit(by_user, by_item, config), strategy) for config in configs]
 
 
 def evaluate(
@@ -129,8 +134,8 @@ def evaluate(
 
     The model is the one ``train`` gives on the train side, bit for bit.
     """
-    by_user, by_item, warm = _held_out(_as_array(ratings), num_users, num_items, split_config)
-    return warm.report(_fit(by_user, by_item, train_config), strategy)
+    arr = _as_array(ratings)
+    return _held_out(arr, num_users, num_items, [train_config], split_config, strategy)[0]
 
 
 def sweep(
@@ -141,18 +146,15 @@ def sweep(
     strategy: str = "",
 ) -> list[EvalReport]:
     """One evaluation per rank, reusing the same split, its grouping and its
-    warm test triples for every rank."""
+    warm test triples for every rank.  Every rank's config is checked before
+    the split."""
     if not ranks:
         raise ConfigError("ranks must be nonempty")
+    configs = [dataclasses.replace(train_config, rank=rank) for rank in ranks]
     arr = _as_array(ratings)
     num_users = int(arr[:, 0].max()) + 1
     num_items = int(arr[:, 1].max()) + 1
-    by_user, by_item, warm = _held_out(arr, num_users, num_items, split_config)
-    reports = []
-    for rank in ranks:
-        model = _fit(by_user, by_item, dataclasses.replace(train_config, rank=rank))
-        reports.append(warm.report(model, strategy))
-    return reports
+    return _held_out(arr, num_users, num_items, configs, split_config, strategy)
 
 
 def sweep_csv(reports: Iterable[EvalReport]) -> str:

@@ -19,7 +19,7 @@ import math
 import re
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
-from itertools import islice
+from itertools import count, islice
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import attrgetter
 from pathlib import Path
@@ -299,17 +299,18 @@ def parse_reviews(lines: Iterable[str]) -> list[Review]:
 class IdIndex:
     """Bijection between raw user/item ids and dense indices.
 
-    Indices are assigned in first-appearance order, so the mapping is a
-    deterministic function of the interaction order.
+    Indices are assigned in first-appearance order of the given id columns,
+    so the mapping is a deterministic function of the interaction order; a
+    repeated id keeps its first object.
     """
 
     __slots__ = ("user_ids", "item_ids", "_user_pos", "_item_pos")
 
-    def __init__(self):
-        self.user_ids: list[str] = []
-        self.item_ids: list[int] = []
-        self._user_pos: dict[str, int] = {}
-        self._item_pos: dict[int, int] = {}
+    def __init__(self, user_ids: Iterable[str] = (), item_ids: Iterable[int] = ()):
+        self._user_pos: dict[str, int] = dict(zip(dict.fromkeys(user_ids), count()))
+        self._item_pos: dict[int, int] = dict(zip(dict.fromkeys(item_ids), count()))
+        self.user_ids: list[str] = list(self._user_pos)
+        self.item_ids: list[int] = list(self._item_pos)
 
     @property
     def num_users(self) -> int:
@@ -318,22 +319,6 @@ class IdIndex:
     @property
     def num_items(self) -> int:
         return len(self.item_ids)
-
-    def add_user(self, user_id: str) -> int:
-        pos = self._user_pos.get(user_id)
-        if pos is None:
-            pos = len(self.user_ids)
-            self._user_pos[user_id] = pos
-            self.user_ids.append(user_id)
-        return pos
-
-    def add_item(self, item_id: int) -> int:
-        pos = self._item_pos.get(item_id)
-        if pos is None:
-            pos = len(self.item_ids)
-            self._item_pos[item_id] = pos
-            self.item_ids.append(item_id)
-        return pos
 
     def user_index(self, user_id: str) -> int:
         return self._user_pos[user_id]
@@ -401,10 +386,10 @@ class InteractionTable:
 def build_table(interactions: Iterable[Interaction]) -> InteractionTable:
     """Index users/items by first appearance; build the columns and the CSR view."""
     interactions = Interactions.of(interactions)
-    index = IdIndex()
+    index = IdIndex(interactions.user_id, interactions.item_id)
     n = len(interactions)
-    users = np.fromiter(map(index.add_user, interactions.user_id), np.intp, n)
-    items = np.fromiter(map(index.add_item, interactions.item_id), np.intp, n)
+    users = np.fromiter(map(index._user_pos.__getitem__, interactions.user_id), np.intp, n)
+    items = np.fromiter(map(index._item_pos.__getitem__, interactions.item_id), np.intp, n)
     playtime = np.fromiter(interactions.playtime_forever, np.float64, n)
     first = np.unique(items, return_index=True)[1]
     user_indptr = np.zeros(index.num_users + 1, dtype=np.intp)
@@ -481,29 +466,30 @@ def write_interactions_jsonl(interactions: Iterable[Interaction], path: str | Pa
 def read_lines(path: str | Path) -> Iterator[str]:
     """The lines of the UTF-8 text file ``path``, read as they are iterated.
 
-    A byte that is not UTF-8 is a ParseError naming its line: only then is
-    the file read again, with each such byte kept as a lone surrogate, to
-    find the first line holding one.
+    A byte that is not UTF-8 is a ParseError naming its line (see
+    :func:`undecodable_line`).
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             yield from handle
-    except UnicodeDecodeError:
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-            found = undecodable_line(handle)
-        if found is None:
-            raise  # the file changed between the two reads
-        raise ParseError(*found) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(*undecodable_line(path, exc)) from None
 
 
-def undecodable_line(lines: Iterable[str]) -> tuple[int, str] | None:
-    """The 1-based number of the first of ``lines`` (decoded with
-    ``errors="surrogateescape"``) that holds a byte that is not UTF-8, and a
-    message naming the byte; None when no line holds one."""
-    for lineno, line in enumerate(lines, start=1):
-        if found := _SURROGATE_RE.search(line):
-            return lineno, f"byte {ord(found.group()) - 0xDC00:#04x} is not UTF-8"
-    return None
+def undecodable_line(path: str | Path, error: UnicodeDecodeError) -> tuple[int, str]:
+    """The 1-based number of the first line of ``path`` that holds a byte that
+    is not UTF-8, and a message naming the byte.
+
+    Called once reading ``path`` as UTF-8 raised ``error``: only then is the
+    file read again, with each such byte kept as a lone surrogate.  ``error``
+    is raised again when no line holds one (the file changed between the two
+    reads).
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if found := _SURROGATE_RE.search(line):
+                return lineno, f"byte {ord(found.group()) - 0xDC00:#04x} is not UTF-8"
+    raise error
 
 
 def _flat_records(path: str | Path, from_dict) -> Iterator:

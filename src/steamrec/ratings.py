@@ -228,12 +228,9 @@ def read_ratings_array(path: str | Path) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             lines = handle.read().splitlines()
-    except UnicodeDecodeError:
-        with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
-            found = undecodable_line(handle.read().splitlines())
-        if found is None:
-            raise  # the file changed between the two reads
-        raise ValueError(f"{path}: line {found[0]}: {found[1]}") from None
+    except UnicodeDecodeError as exc:
+        lineno, problem = undecodable_line(path, exc)
+        raise ValueError(f"{path}: line {lineno}: {problem}") from None
     if not lines or lines[0].split(",") != RATINGS_CSV_HEADER:
         raise ValueError(f"{path}: expected header {','.join(RATINGS_CSV_HEADER)}")
     body = lines[1:]

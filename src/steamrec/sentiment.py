@@ -123,12 +123,9 @@ def load_lexicon(path: str | Path) -> Lexicon:
                     raise ValueError(f"{path}:{lineno}: expected 'token<TAB>valence'")
                 token, raw = parts
                 valences[token.strip().lower()] = float(raw)
-    except UnicodeDecodeError:
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-            found = undecodable_line(handle)
-        if found is None:
-            raise  # the file changed between the two reads
-        raise ValueError(f"{path}:{found[0]}: {found[1]}") from None
+    except UnicodeDecodeError as exc:
+        lineno, problem = undecodable_line(path, exc)
+        raise ValueError(f"{path}:{lineno}: {problem}") from None
     if not valences:
         raise ValueError(f"{path}: lexicon has no entries")
     return Lexicon(valences=valences)

@@ -651,3 +651,14 @@ def test_save_model_refuses_a_lambda_json_cannot_hold(tmp_path):
         save_model(FactorModel(np.ones((2, 1)), np.ones((3, 1)), rank=1,
                                regularization=math.inf), path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("field, value", [("regularization", -1.0), ("regularization", True),
+                                          ("seed", -3), ("rank", 2.0)])
+def test_save_model_refuses_a_header_load_model_refuses(tmp_path, field, value):
+    path = tmp_path / "model.bin"
+    hyper = {"rank": 2, "regularization": 0.1, "seed": 1, field: value}
+    model = FactorModel(np.ones((2, 2)), np.ones((3, 2)), **hyper)
+    with pytest.raises(ValueError, match=f"^{path}: header field '{field}' must be "):
+        save_model(model, path)
+    assert not path.exists()

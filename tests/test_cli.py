@@ -156,6 +156,20 @@ def test_stage_commands_roundtrip(tmp_path, capsys):
     assert [entry["user_id"] for entry in recs] == ["player01", "player02"]
 
 
+def test_ingest_writes_flat_tables_back_byte_for_byte(tmp_path, capsys):
+    assert main(_pipeline_args(tmp_path)) == 0
+    out, again = tmp_path / "out", tmp_path / "again"
+    capsys.readouterr()
+    assert main(["ingest", "--items", str(out / "interactions.jsonl"),
+                 "--reviews", str(out / "reviews.jsonl"), "--out-dir", str(again)]) == 0
+    reviews = len((out / "reviews.jsonl").read_text(encoding="utf-8").splitlines())
+    assert capsys.readouterr().out == (
+        f"wrote 100 interactions to {again / 'interactions.jsonl'}\n"
+        f"wrote {reviews} reviews to {again / 'reviews.jsonl'}\n")
+    for name in ("interactions.jsonl", "reviews.jsonl"):
+        assert (again / name).read_bytes() == (out / name).read_bytes()
+
+
 def test_sentiment_commands(tmp_path, capsys):
     assert main(["sentiment", "score", "--text", "great fun, highly recommend"]) == 0
     result = json.loads(capsys.readouterr().out)
@@ -779,14 +793,13 @@ def test_fit_commands_default_to_the_library_configs(tmp_path, capsys, command):
         assert (stdout, model) == expected
 
 
-# flag -> (config, keyword, values): in range, out of range and not finite.  A finite
-# lambda stays small: past about 1e306, lambda * n overflows in the half-step, a fault
-# of the solver and not of the route from flags to configs.
+# flag -> (config, keyword, values): in range, out of range and not finite.
 _FIT_VALUES = {
     "--rank": ("train", "rank", st.integers(1, 40) | st.integers(-1, 210)),
     "--iters": ("train", "iterations", st.integers(-1, 3)),
     "--lambda": ("train", "regularization",
-                 st.sampled_from([math.inf, -math.inf, math.nan, -1.0]) | st.floats(0, 1e3)),
+                 st.sampled_from([math.inf, -math.inf, math.nan, -1.0])
+                 | st.floats(0, sys.float_info.max)),
     "--seed": ("train", "seed", st.integers(-2, 2**40)),
     "--split": ("split", "fraction",
                 st.floats(0.05, 0.95) | st.sampled_from([math.inf, math.nan, 0.0, 1.0])
@@ -812,8 +825,7 @@ def test_any_fit_flags_exit_0_with_the_library_output_or_1_with_its_error(capsys
         try:
             # the order the subcommands check in: ratings, split, then train
             split_config = evaluation.SplitConfig(**configs["split"])
-            first_rank = {"rank": 2} if command == "sweep" else {}
-            train_config = als.TrainConfig(**{**configs["train"], **first_rank})
+            train_config = als.TrainConfig(**configs["train"])
             expected = _fit_output(command, rows, [2, 5], train_config, split_config, out)
         except (SteamrecError, ValueError) as exc:
             expected = exc
@@ -833,6 +845,25 @@ def test_train_with_an_infinite_lambda_is_one_line_error_and_writes_no_model(tmp
     assert (code, stdout, model) == (1, "", b"")
     assert stderr == "steamrec: error: regularization must be finite and >= 0, got inf\n"
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_train_with_a_lambda_whose_weights_overflow_is_one_line_error(tmp_path, capsys):
+    path, rows = _ratings_file(tmp_path)
+    code, stdout, stderr, model = _run_fit(capsys, "train", path, ["--lambda", "1e308"],
+                                           tmp_path / "model.bin")
+    assert (code, stdout, model) == (1, "", b"")
+    assert stderr == (f"steamrec: error: regularization 1e+308 times the {len(rows)} ratings "
+                      "overflows a float\n")
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_a_negative_split_seed_is_one_line_error_naming_it(tmp_path, capsys, command):
+    path, _ = _ratings_file(tmp_path)
+    code, stdout, stderr, model = _run_fit(capsys, command, path, ["--split-seed=-1"],
+                                           tmp_path / "model.bin")
+    assert (code, stdout, model) == (1, "", b"")
+    assert stderr == "steamrec: error: split seed must be non-negative, got -1\n"
 
 
 def test_pipeline_with_an_infinite_lambda_in_its_config_is_one_line_error(tmp_path, capsys):

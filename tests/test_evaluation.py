@@ -17,7 +17,7 @@ from steamrec import (
     stats,
     write_ratings_csv,
 )
-from steamrec import als
+from steamrec import als, evaluation
 from steamrec.als import FactorModel, TrainConfig, predict, train
 from steamrec.evaluation import evaluate, format_stats, rmse, sweep, sweep_csv
 from steamrec.sentiment import Lexicon
@@ -233,6 +233,24 @@ def test_sweep_bit_reproducible():
 def test_sweep_rejects_empty_ranks():
     with pytest.raises(ConfigError):
         sweep([RatingTriple(0, 0, 3)], [], TrainConfig(rank=1), SplitConfig())
+
+
+def test_sweep_checks_every_rank_before_it_fits(monkeypatch):
+    fits = []
+    fit = evaluation._fit
+
+    def counting(*args):
+        fits.append(args)
+        return fit(*args)
+
+    monkeypatch.setattr(evaluation, "_fit", counting)
+    arr = planted_ratings(num_users=30, num_items=20, seed=6)
+    config, split_config = TrainConfig(iterations=2, seed=1), SplitConfig(seed=1)
+    with pytest.raises(ConfigError, match="^rank must be in 1..200, got 0$"):
+        sweep(arr, [2, 3, 0], config, split_config)
+    assert fits == []
+    sweep(arr, [2, 3], config, split_config)
+    assert len(fits) == 2  # the patch is live
 
 
 def test_sweep_csv_format():

@@ -529,21 +529,24 @@ def test_id_index_bijective_on_randomized_ids():
     rng = random.Random(13)
     ids = list({f"user-{rng.randrange(10**9)}" for _ in range(1500)})
     rng.shuffle(ids)
-    index = IdIndex()
-    positions = [index.add_user(u) for u in ids]
-    assert positions == list(range(len(ids)))
+    item_ids = list({rng.randrange(10**9) for _ in range(1200)})
+    # every id appears again later, as an equal but other object, and keeps the
+    # index and the object of its first appearance
+    again = [u[:1] + u[1:] for u in reversed(ids)]
+    index = IdIndex(ids + again, item_ids + item_ids[::3])
+    assert [index.user_index(u) for u in ids] == list(range(len(ids)))
+    assert all(kept is first for kept, first in zip(index.user_ids, ids))
     for pos, user_id in enumerate(ids):
         assert index.user_index(user_id) == pos
         assert index.user_id(pos) == user_id
-    item_ids = list({rng.randrange(10**9) for _ in range(1200)})
     for pos, item_id in enumerate(item_ids):
-        assert index.add_item(item_id) == pos
+        assert index.item_index(item_id) == pos
         assert index.item_id(index.item_index(item_id)) == item_id
+    assert (index.num_users, index.num_items) == (len(ids), len(item_ids))
 
 
 def test_id_index_out_of_range():
-    index = IdIndex()
-    index.add_user("a")
+    index = IdIndex(["a"])
     with pytest.raises(IndexError):
         index.user_id(1)
     with pytest.raises(IndexError):
