@@ -33,15 +33,21 @@ Each side of the ratings is held once as compressed sparse rows
 by observation count rounded up to a power of two, each bucket's partner
 factors are gathered zero-padded to that width (a zero row adds nothing to
 ``Y_u' Y_u`` or ``Y_u' r_u``), and each block of a bucket is one stacked
-matrix product.  The blocks' normal equations then go into solve batches of
-up to ``_BLOCK_ELEMENTS // k^2`` systems that span buckets, each one stacked
+matrix product.  A block holds ``_BLOCK_ELEMENTS // (max(w, k) * k)`` rows
+of a k x k bucket, or ``_BLOCK_ELEMENTS // (w * k)`` of a dual one, and at
+least one row.  The blocks' normal equations then go into solve batches of
+up to ``_SOLVE_ELEMENTS // k^2`` systems that span buckets, each one stacked
 Cholesky factorization and one stacked pair of triangular solves.  A block
 solved in dual form is one such solve of its own, on w x w systems, in
 which a padding slot's zero row leaves c alone on its diagonal and a zero
-in its right-hand side, so it adds nothing to x_u.  Block and batch
-boundaries and the choice of form depend only on the data and the rank,
-and every system is solved with the same arithmetic in any batch, so
-training is bit-reproducible for a fixed seed.
+in its right-hand side, so it adds nothing to x_u.  The residual sum
+gathers ``_BLOCK_ELEMENTS // k`` ratings' factor rows at a time, so a fit's
+gathers, normal matrices and residuals stay within a few of these bounds
+(or one row's gather, when that is larger) whatever the data size.  Block and
+batch boundaries and the choice of form depend only on the data and the
+rank, and every system and every residual is computed with the same
+arithmetic in any block or batch, so training is bit-reproducible for a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -58,10 +64,15 @@ from .errors import ConfigError, SolveError, check_type
 
 MAX_RANK = 200
 _OBJECTIVE_CHUNK = 1 << 16
-# Elements per bucket block: block rows x max(bucket width, rank) x rank; a
-# solve batch holds _BLOCK_ELEMENTS // rank^2 rows.  A constant, so block and
-# batch boundaries never depend on anything but the data and the rank.
-_BLOCK_ELEMENTS = 1 << 18
+# Elements per gather block (512 KiB of float64): a k x k bucket's block rows x
+# max(bucket width, rank) x rank, a dual bucket's block rows x width x rank,
+# and the residual sum's sub-block rows x rank.  A solve batch holds
+# _SOLVE_ELEMENTS // rank^2 rows; a smaller batch runs the triangular solves'
+# 2k einsum calls more often and is slower.  _BLOCK_ELEMENTS <= _SOLVE_ELEMENTS
+# keeps every k x k block within one batch.  Constants, so block and batch
+# boundaries never depend on anything but the data and the rank.
+_BLOCK_ELEMENTS = 1 << 16
+_SOLVE_ELEMENTS = 1 << 17
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -77,9 +88,15 @@ class TrainConfig:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if not self.regularization >= 0:
             raise ConfigError(f"regularization must be >= 0, got {self.regularization}")
-        if not math.isfinite(self.regularization):
+        try:  # an integer from a config file may be past the largest float
+            regularization = float(self.regularization)
+        except OverflowError:
+            raise ConfigError("regularization must be finite and >= 0, got an integer "
+                              "too large for a float") from None
+        if not math.isfinite(regularization):
             raise ConfigError(
                 f"regularization must be finite and >= 0, got {self.regularization}")
+        object.__setattr__(self, "regularization", regularization)
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
@@ -316,9 +333,7 @@ def solve_half_step(
     # 2 ** bit_length(n - 1): each count rounded up to a power of two
     widths = np.left_shift(1, np.frexp(counts[solved] - 1)[1])
     diagonal = np.arange(k)
-    # A block holds at most _BLOCK_ELEMENTS // (width * k) <= batch rows, so
-    # every block fits in one batch.
-    batch = min(_BLOCK_ELEMENTS // (k * k), solved.size)
+    batch = min(_SOLVE_ELEMENTS // (k * k), solved.size)
     batch_rows = np.empty(batch, dtype=np.intp)
     batch_normal = np.empty((batch, k, k))
     batch_rhs = np.empty((batch, k))
@@ -332,7 +347,7 @@ def solve_half_step(
         bucket = solved[widths == width]
         slots = np.arange(width)
         dual = width < k and regularization > 0
-        block = max(1, _BLOCK_ELEMENTS // (max(width, k) * k))
+        block = max(1, _BLOCK_ELEMENTS // ((width if dual else max(width, k)) * k))
         for lo in range(0, len(bucket), block):
             chunk = bucket[lo : lo + block]
             n = counts[chunk]
@@ -384,13 +399,25 @@ def _loss(user_factors: np.ndarray, item_factors: np.ndarray, by_user: RatingCSR
 
 
 def _squared_error(user_factors: np.ndarray, item_factors: np.ndarray, columns) -> float:
-    """Sum of (r - x_u . y_i)^2 over (user, item, rating) ``columns``, in chunks."""
+    """Sum of (r - x_u . y_i)^2 over (user, item, rating) ``columns``.
+
+    Each ``_OBJECTIVE_CHUNK`` of residuals is summed on its own and the sums
+    added in order; the factor rows behind a chunk are gathered
+    ``_BLOCK_ELEMENTS // k`` ratings at a time into one residual buffer.
+    """
     users, items, values = columns
+    step = max(1, _BLOCK_ELEMENTS // user_factors.shape[1])
+    residual = np.empty(min(len(values), _OBJECTIVE_CHUNK))
     total = 0.0
     for lo in range(0, len(values), _OBJECTIVE_CHUNK):
-        hi = lo + _OBJECTIVE_CHUNK
-        preds = row_dots(user_factors[users[lo:hi]], item_factors[items[lo:hi]])
-        total += float(np.sum((values[lo:hi] - preds) ** 2))
+        hi = min(lo + _OBJECTIVE_CHUNK, len(values))
+        chunk = residual[: hi - lo]
+        for sub in range(lo, hi, step):
+            end = min(sub + step, hi)
+            chunk[sub - lo : end - lo] = row_dots(user_factors[users[sub:end]],
+                                                  item_factors[items[sub:end]])
+        np.subtract(values[lo:hi], chunk, out=chunk)
+        total += float(np.sum(np.square(chunk, out=chunk)))
     return total
 
 
@@ -451,7 +478,7 @@ def _fit(
     lam = config.regularization
     # the rating count bounds every row's n in lambda * n, and the first loss's weights
     count = len(by_user.values)
-    if math.isinf(float(lam) * count):
+    if math.isinf(lam * count):
         raise ConfigError(f"regularization {lam} times the {count} ratings overflows a float")
     for _ in range(config.iterations):
         user_factors = solve_half_step(item_factors, by_user, lam, user_factors)

@@ -119,6 +119,7 @@ def _held_out(arr: np.ndarray, num_users: int, num_items: int, configs: list[Tra
     by_user, by_item = _grouped(train_part, num_users, num_items)
     seen = (np.flatnonzero(np.diff(rows.indptr)) for rows in (by_user, by_item))
     warm = _WarmTest(test_part, *seen)
+    del train_part, test_part  # the fits need only the grouping and the warm triples
     return [warm.report(_fit(by_user, by_item, config), strategy) for config in configs]
 
 

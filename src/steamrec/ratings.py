@@ -226,11 +226,15 @@ def read_ratings_array(path: str | Path) -> np.ndarray:
     that is not three integers, has a negative index or a rating outside 1..5.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            lines = handle.read().splitlines()
+        # Universal newlines read \r and \r\n as \n, so lines split at \n alone
+        # are the lines iterating the file gives, as the messages count them.
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.read().split("\n")
     except UnicodeDecodeError as exc:
         lineno, problem = undecodable_line(path, exc)
         raise ValueError(f"{path}: line {lineno}: {problem}") from None
+    if lines[-1] == "":
+        lines.pop()  # the last line's end, or an empty file
     if not lines or lines[0].split(",") != RATINGS_CSV_HEADER:
         raise ValueError(f"{path}: expected header {','.join(RATINGS_CSV_HEADER)}")
     body = lines[1:]

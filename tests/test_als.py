@@ -260,8 +260,9 @@ def test_a_solve_batch_spanning_buckets_gives_each_bucket_its_own_bits(monkeypat
 def test_a_bucket_narrower_than_the_rank_gives_the_same_bits_alone(monkeypatch):
     rank = 16
     rng = np.random.default_rng(33)
-    # width-1 rows over three blocks, and rows of every width up to 64
-    degrees = [1] * (2 * _BLOCK_ELEMENTS // rank**2 + 5)
+    # width-1 rows over three blocks (a dual block holds _BLOCK_ELEMENTS // (1 * rank)
+    # rows), and rows of every width up to 64
+    degrees = [1] * (2 * _BLOCK_ELEMENTS // rank + 5)
     degrees += rng.integers(0, 50, size=300).tolist()
     rng.shuffle(degrees)
     groups = [
@@ -286,6 +287,52 @@ def test_a_bucket_narrower_than_the_rank_gives_the_same_bits_alone(monkeypatch):
         rows = [row for row, d in enumerate(degrees) if d and _bucket(d) == width]
         got = solve_half_step(fixed, _csr(alone), 0.1, current)
         assert together[rows].tobytes() == got[rows].tobytes()
+
+
+@pytest.mark.parametrize("regularization", [0.1, 0.0])
+def test_half_step_bits_do_not_depend_on_the_block_and_batch_bounds(monkeypatch, regularization):
+    rank = 4
+    rng = np.random.default_rng(44)
+    groups = _power_law_groups(rng, rows=600, partners=400, max_degree=300)
+    if regularization == 0:  # a row narrower than the rank is singular at lambda 0
+        groups = [(p, v) if len(p) == 0 or len(p) >= rank else
+                  (rng.choice(400, size=rank, replace=False), rng.integers(1, 6, size=rank))
+                  for p, v in groups]
+    fixed = rng.random((400, rank)) / np.sqrt(rank)
+    current = rng.random((len(groups), rank))
+    widths = [_bucket(len(p)) for p, _ in groups if len(p)]
+    results = []
+    # (_BLOCK_ELEMENTS, _SOLVE_ELEMENTS): tiny bounds, the bounds in use, and 2^18 for both
+    for block_elements, solve_elements in [(1 << 8, 1 << 8), (1 << 16, 1 << 17), (1 << 18, 1 << 18)]:
+        monkeypatch.setattr(als, "_BLOCK_ELEMENTS", block_elements)
+        monkeypatch.setattr(als, "_SOLVE_ELEMENTS", solve_elements)
+        batches = _counting_solves(monkeypatch)
+        results.append(solve_half_step(fixed, _csr(groups), regularization, current).tobytes())
+        if not results[1:]:
+            # many blocks and batches, and a row wider than a block
+            assert len(batches) > 10 and max(widths) * rank > block_elements
+        monkeypatch.undo()
+    assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("chunk", [als._OBJECTIVE_CHUNK, 50])
+def test_squared_error_does_not_depend_on_the_gather_bound(monkeypatch, chunk):
+    rank = 6
+    rng = np.random.default_rng(45)
+    user_factors, item_factors = rng.random((70, rank)), rng.random((90, rank))
+    users, items = rng.integers(0, 70, size=3001), rng.integers(0, 90, size=3001)
+    values = rng.integers(1, 6, size=3001).astype(np.float64)
+    monkeypatch.setattr(als, "_OBJECTIVE_CHUNK", chunk)
+    expected = 0.0  # each chunk's residuals gathered whole, as one sum
+    for lo in range(0, len(values), chunk):
+        at = slice(lo, lo + chunk)
+        preds = row_dots(user_factors[users[at]], item_factors[items[at]])
+        expected += float(np.sum((values[at] - preds) ** 2))
+    # sub-blocks of 1, 1, 3 and 10922 ratings
+    for block_elements in (1, rank, 3 * rank + 1, 1 << 16):
+        monkeypatch.setattr(als, "_BLOCK_ELEMENTS", block_elements)
+        got = als._squared_error(user_factors, item_factors, (users, items, values))
+        assert got == expected
 
 
 def test_a_solve_batch_spanning_buckets_names_its_singular_row(monkeypatch):

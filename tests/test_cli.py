@@ -879,6 +879,34 @@ def test_pipeline_with_an_infinite_lambda_in_its_config_is_one_line_error(tmp_pa
     assert not (tmp_path / "out").exists()
 
 
+def _lambda_config(tmp_path: Path, name: str, regularization) -> Path:
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps({"items": str(DATA_DIR / "pipeline_items.jsonl"),
+                                  "out_dir": str(tmp_path / name),
+                                  "train": {"rank": 2, "iterations": 2,
+                                            "lambda": regularization}}), encoding="utf-8")
+    return config
+
+
+def test_pipeline_with_an_integer_lambda_past_every_float_is_one_line_error(tmp_path, capsys):
+    config = _lambda_config(tmp_path, "out", 10**400)
+    code = main(["pipeline", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ("steamrec: error: regularization must be finite and >= 0, got an "
+                            "integer too large for a float\n")
+    assert not (tmp_path / "out" / "model.bin").exists()
+
+
+def test_pipeline_trains_an_integer_lambda_as_the_float_it_equals(tmp_path, capsys):
+    # 10**20 is past int64, so numpy cannot take it as an integer
+    for name, regularization in (("int", 10**20), ("float", 1e20)):
+        config = _lambda_config(tmp_path, name, regularization)
+        assert main(["pipeline", "--config", str(config)]) == 0
+    for name in ("model.bin", "eval.json", "recommendations.json"):
+        assert (tmp_path / "int" / name).read_bytes() == (tmp_path / "float" / name).read_bytes()
+
+
 def test_recommend_with_a_bad_header_field_is_one_line_error_naming_it(tmp_path, capsys):
     assert main(_pipeline_args(tmp_path)) == 0
     out = tmp_path / "out"

@@ -1,5 +1,6 @@
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -331,6 +332,29 @@ def test_train_evaluate_and_sweep_convert_the_train_ratings_once(monkeypatch):
         calls.clear()
         call()
         assert calls == [converted]
+
+
+def test_evaluate_and_sweep_free_both_split_halves_before_the_first_fit(monkeypatch):
+    halves, fitted = [], []
+    original_split, original_fit = evaluation.split, evaluation._fit
+
+    def tracked_split(ratings, config):
+        parts = original_split(ratings, config)
+        halves[:] = [weakref.ref(part) for part in parts]
+        return parts
+
+    def checked_fit(*args, **kwargs):
+        assert len(halves) == 2 and all(ref() is None for ref in halves), "a split half is alive"
+        fitted.append(args[2].rank)
+        return original_fit(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "split", tracked_split)
+    monkeypatch.setattr(evaluation, "_fit", checked_fit)
+    arr = planted_ratings(num_users=30, num_items=20, seed=6)
+    config, split_config = TrainConfig(rank=2, iterations=2, seed=1), SplitConfig(seed=1)
+    evaluate(arr, 30, 20, config, split_config)
+    sweep(arr, [1, 3], config, split_config)
+    assert fitted == [2, 1, 3]
 
 
 def test_every_residual_sum_matches_one_numpy_pass_across_chunks(monkeypatch):

@@ -422,3 +422,15 @@ def test_read_ratings_names_the_bad_line(tmp_path, body, message):
     path.write_text("user_index,item_index,rating\n" + body, encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(message)):
         read_ratings_array(path)
+
+
+@pytest.mark.parametrize("inside", ["\f", "\x85", "\u2028"])
+def test_read_ratings_numbers_lines_as_iterating_the_file_does(tmp_path, inside):
+    # str.splitlines would also break at these, and name the bad row line 5
+    path = tmp_path / "ratings.csv"
+    rows = f"user_index,item_index,rating\r\n0,1,5{inside}\r2,0,4\n"
+    path.write_text(rows + "1,x,3\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape("line 4: '1,x,3' is not three integers")):
+        read_ratings_array(path)
+    path.write_text(rows, encoding="utf-8")
+    assert read_ratings_array(path).tolist() == [[0, 1, 5], [2, 0, 4]]
