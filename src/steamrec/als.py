@@ -30,13 +30,15 @@ and the held-out RMSE.
 
 Each side of the ratings is held once as compressed sparse rows
 (``RatingCSR``).  A half-step solves its rows in batches: rows are bucketed
-by observation count rounded up to a power of two, each bucket's partner
-factors are gathered zero-padded to that width (a zero row adds nothing to
-``Y_u' Y_u`` or ``Y_u' r_u``), and each block of a bucket is one stacked
-matrix product.  A block holds ``_BLOCK_ELEMENTS // (max(w, k) * k)`` rows
-of a k x k bucket, or ``_BLOCK_ELEMENTS // (w * k)`` of a dual one, and at
-least one row.  The blocks' normal equations then go into solve batches of
-up to ``_SOLVE_ELEMENTS // k^2`` systems that span buckets, each one stacked
+by observation count rounded up to the nearest 2^e or 3 * 2^(e - 2) (widths
+1, 2, 3, 4, 6, 8, 12, 16, 24, ...), so a row is padded by less than half its
+count.  Each bucket's partner factors are gathered zero-padded to that width
+(a zero row adds nothing to ``Y_u' Y_u`` or ``Y_u' r_u``), and each block of
+a bucket is one stacked matrix product.  A block holds
+``_BLOCK_ELEMENTS // (max(w, k) * k)`` rows of a k x k bucket, or
+``_BLOCK_ELEMENTS // (w * k)`` of a dual one, and at least one row.  The
+blocks' normal equations then go into solve batches of up to
+``_SOLVE_ELEMENTS // k^2`` systems that span buckets, each one stacked
 Cholesky factorization and one stacked pair of triangular solves.  A block
 solved in dual form is one such solve of its own, on w x w systems, in
 which a padding slot's zero row leaves c alone on its diagonal and a zero
@@ -308,9 +310,9 @@ def solve_half_step(
 
     ``rows`` holds each free row's partners and ratings (``group_by_user`` or
     ``group_by_item``).  Rows with no observations keep their current values.
-    Rows are bucketed by observation count rounded up to a power of two, and
-    their normal equations are formed a bucket block at a time and solved in
-    batches that span buckets.  When ``regularization`` > 0, a bucket
+    Rows are bucketed by observation count rounded up to the nearest 2^e or
+    3 * 2^(e - 2), and their normal equations are formed a bucket block at a
+    time and solved in batches that span buckets.  When ``regularization`` > 0, a bucket
     narrower than the rank solves each block as w x w dual systems instead
     (see the module docstring); at 0 the dual matrix of a padded or
     rank-deficient row is singular, so every bucket stays in k x k form.
@@ -330,8 +332,10 @@ def solve_half_step(
     partners = np.append(rows.partners, len(fixed))
     values = np.append(rows.values, 0.0)
     padded_fixed = np.vstack([fixed, np.zeros((1, k))])
-    # 2 ** bit_length(n - 1): each count rounded up to a power of two
-    widths = np.left_shift(1, np.frexp(counts[solved] - 1)[1])
+    # Each count rounded up to a power of two p = 2 ** bit_length(n - 1), or to
+    # 3p / 4 when that holds it: widths 1, 2, 3, 4, 6, 8, 12, 16, 24, ...
+    power = np.left_shift(1, np.frexp(counts[solved] - 1)[1])
+    widths = np.where(counts[solved] > power * 3 // 4, power, power * 3 // 4)
     diagonal = np.arange(k)
     batch = min(_SOLVE_ELEMENTS // (k * k), solved.size)
     batch_rows = np.empty(batch, dtype=np.intp)

@@ -111,11 +111,17 @@ class _WarmTest:
         )
 
 
-def _held_out(arr: np.ndarray, num_users: int, num_items: int, configs: list[TrainConfig],
+def _held_out(ratings: Sequence, dims: tuple[int, int] | None, configs: list[TrainConfig],
               split_config: SplitConfig, strategy: str) -> list[EvalReport]:
-    """Split ``arr`` once, group its train side and find its warm test triples once,
-    then fit each config on the train side and report it."""
+    """Split ``ratings`` once, group its train side and find its warm test triples once,
+    then fit each config on the train side and report it.
+
+    ``dims`` is (num_users, num_items), or None for one past each largest index.
+    """
+    arr = _as_array(ratings)
+    num_users, num_items = dims or (int(arr[:, 0].max()) + 1, int(arr[:, 1].max()) + 1)
     train_part, test_part = split(arr, split_config)
+    del arr  # a float64 copy, unless the ratings were float64 already
     by_user, by_item = _grouped(train_part, num_users, num_items)
     seen = (np.flatnonzero(np.diff(rows.indptr)) for rows in (by_user, by_item))
     warm = _WarmTest(test_part, *seen)
@@ -135,8 +141,7 @@ def evaluate(
 
     The model is the one ``train`` gives on the train side, bit for bit.
     """
-    arr = _as_array(ratings)
-    return _held_out(arr, num_users, num_items, [train_config], split_config, strategy)[0]
+    return _held_out(ratings, (num_users, num_items), [train_config], split_config, strategy)[0]
 
 
 def sweep(
@@ -152,10 +157,7 @@ def sweep(
     if not ranks:
         raise ConfigError("ranks must be nonempty")
     configs = [dataclasses.replace(train_config, rank=rank) for rank in ranks]
-    arr = _as_array(ratings)
-    num_users = int(arr[:, 0].max()) + 1
-    num_items = int(arr[:, 1].max()) + 1
-    return _held_out(arr, num_users, num_items, configs, split_config, strategy)
+    return _held_out(ratings, None, configs, split_config, strategy)
 
 
 def sweep_csv(reports: Iterable[EvalReport]) -> str:

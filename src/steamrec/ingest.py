@@ -142,7 +142,8 @@ def _literal_to_json(line: str) -> str | None:
     between the two, and for what JSON would read but Python would not: a
     JSON-only word outside strings, a NUL, a lone surrogate.
     """
-    if "\\" in line or "\0" in line or _SURROGATE_RE.search(line):
+    # a lone surrogate is never ASCII, so an ASCII line skips the search
+    if "\\" in line or "\0" in line or not line.isascii() and _SURROGATE_RE.search(line):
         return None
     parts = _PY_STRING_RE.split(line)
     parts[1::2] = [quoted[1:-1].replace('"', '\\"') for quoted in parts[1::2]]

@@ -8,6 +8,7 @@ the explicit recommend flag.
 from __future__ import annotations
 
 import logging
+import re
 from collections import namedtuple
 from enum import Enum
 from pathlib import Path
@@ -23,6 +24,7 @@ logger = logging.getLogger(__name__)
 
 RATINGS_CSV_HEADER = ["user_index", "item_index", "rating"]
 _CSV_CHUNK = 4096
+_UNICODE_SPACE = re.compile(r"(?![\x00-\x7f])\s")  # whitespace that is not ASCII
 
 
 class Strategy(str, Enum):
@@ -222,17 +224,21 @@ def write_ratings_csv(triples, path: str | Path) -> None:
 def read_ratings_array(path: str | Path) -> np.ndarray:
     """Read ``ratings.csv`` into an (N, 3) int64 array of (user, item, rating).
 
-    Raises ``ValueError`` for a wrong header, and naming the line for a row
-    that is not three integers, has a negative index or a rating outside 1..5.
+    Each row is three comma-separated ASCII decimal integers (see
+    :func:`_int_rows`).  Raises ``ValueError`` for a wrong header, and naming
+    the line for a row that is not three integers, has a negative index or a
+    rating outside 1..5.
     """
     try:
         # Universal newlines read \r and \r\n as \n, so lines split at \n alone
         # are the lines iterating the file gives, as the messages count them.
         with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().split("\n")
+            text = handle.read()
     except UnicodeDecodeError as exc:
         lineno, problem = undecodable_line(path, exc)
         raise ValueError(f"{path}: line {lineno}: {problem}") from None
+    all_ascii, lines = text.isascii(), text.split("\n")
+    del text  # the lines hold it all from here
     if lines[-1] == "":
         lines.pop()  # the last line's end, or an empty file
     if not lines or lines[0].split(",") != RATINGS_CSV_HEADER:
@@ -240,12 +246,9 @@ def read_ratings_array(path: str | Path) -> np.ndarray:
     body = lines[1:]
     if not body:
         return np.empty((0, 3), dtype=np.int64)
-    try:
-        if not all(line.count(",") == 2 for line in body):
-            raise ValueError("a row without three fields")
-        rows = np.array(",".join(body).split(","), dtype=np.int64).reshape(-1, 3)
-    except (ValueError, OverflowError):
-        raise _bad_row(path, body) from None
+    rows = _int_rows(body, all_ascii)
+    if rows is None:
+        raise _bad_row(path, body)
     bad = np.flatnonzero((rows[:, :2] < 0).any(axis=1) | (rows[:, 2] < 1) | (rows[:, 2] > 5))
     if bad.size:
         user, item, rating = rows[bad[0]].tolist()
@@ -258,11 +261,41 @@ def read_ratings_array(path: str | Path) -> np.ndarray:
     return rows
 
 
-def _bad_row(path: str | Path, body: list[str]) -> ValueError:
-    for lineno, line in enumerate(body, start=2):
-        try:
-            np.array(line.split(","), dtype=np.int64).reshape(3)
-        except (ValueError, OverflowError):
-            return ValueError(f"{path}: line {lineno}: {line!r} is not three integers")
-    return ValueError(f"{path}: rows are not three integers each")
+def _int_rows(lines: list[str], all_ascii: bool) -> np.ndarray | None:
+    """``lines`` as an (N, 3) int64 array, or None when one of them is not
+    three comma-separated integers.
 
+    An integer is an optional sign and ASCII digits, with any whitespace
+    ``str.strip`` removes around it; ``all_ascii`` says whether every line is
+    ASCII.  ``np.loadtxt`` parses them in one pass, but it is given ASCII only:
+    it misreads some other characters as digits (``'1,2,\\u01fe'`` reads as
+    ``[1, 2, 462]``).  So other whitespace becomes a space first, and a line
+    still not ASCII is refused.  ``loadtxt`` skips empty lines, and the shape
+    check refuses them.
+    """
+    if not all_ascii:
+        lines = [_UNICODE_SPACE.sub(" ", line) for line in lines]
+        if not all(line.isascii() for line in lines):
+            return None
+    if not any(lines):  # only empty lines, for which loadtxt would warn of no data
+        return None
+    try:
+        rows = np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return rows if rows.shape == (len(lines), 3) else None
+
+
+def _bad_row(path: str | Path, body: list[str]) -> ValueError:
+    """The error naming the first line of ``body`` that :func:`_int_rows` refuses.
+
+    A chunk of lines parses only if each of its lines does, so whole chunks
+    are parsed until one fails, then that chunk's lines one at a time.
+    """
+    for lo in range(0, len(body), _CSV_CHUNK):
+        chunk = body[lo : lo + _CSV_CHUNK]
+        if _int_rows(chunk, False) is None:
+            for lineno, line in enumerate(chunk, start=lo + 2):
+                if _int_rows([line], False) is None:
+                    return ValueError(f"{path}: line {lineno}: {line!r} is not three integers")
+    return ValueError(f"{path}: rows are not three integers each")

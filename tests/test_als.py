@@ -163,7 +163,7 @@ def _assert_rows_close(got, expected, rtol):
 def test_batched_half_step_matches_per_row_solve(rank):
     rng = np.random.default_rng(100 + rank)
     groups = _power_law_groups(rng, rows=400, partners=150, max_degree=150)
-    widths = {1 << max(len(p) - 1, 0).bit_length() for p, _ in groups if len(p)}
+    widths = {_bucket(len(p)) for p, _ in groups if len(p)}
     assert len(widths) >= 5 and any(len(p) == 0 for p, _ in groups)
     fixed = rng.random((150, rank))
     current = rng.random((400, rank))
@@ -214,7 +214,9 @@ def test_half_step_singular_row_named_within_shared_block(fixed, groups):
 
 
 def _bucket(degree):
-    return 1 << max(degree - 1, 0).bit_length()
+    """A row's padded width: the nearest 2^e or 3 * 2^(e - 2) at or above its degree."""
+    power = 1 << max(degree - 1, 0).bit_length()
+    return power if degree > power * 3 // 4 else power * 3 // 4
 
 
 def _counting_solves(monkeypatch):
@@ -280,8 +282,11 @@ def test_a_bucket_narrower_than_the_rank_gives_the_same_bits_alone(monkeypatch):
 
     monkeypatch.setattr(als, "_cholesky_solve", sized)
     together = solve_half_step(fixed, _csr(groups), 0.1, current)
-    assert sizes == [1, 1, 1, 2, 4, 8, rank]  # w x w systems below the rank
-    for width in (1, 2, 4, 8):
+    narrow = sorted({_bucket(d) for d in degrees if d and _bucket(d) < rank})
+    assert narrow == [1, 2, 3, 4, 6, 8, 12]
+    # w x w systems below the rank, width 1 over three blocks
+    assert sizes == [1, 1] + narrow + [rank]
+    for width in narrow:
         alone = [(p, v) if len(p) and _bucket(len(p)) == width else (p[:0], v[:0])
                  for p, v in groups]
         rows = [row for row, d in enumerate(degrees) if d and _bucket(d) == width]

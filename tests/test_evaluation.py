@@ -21,9 +21,10 @@ from steamrec import (
 from steamrec import als, evaluation
 from steamrec.als import FactorModel, TrainConfig, predict, train
 from steamrec.evaluation import evaluate, format_stats, rmse, sweep, sweep_csv
+from steamrec.ratings import read_ratings_array
 from steamrec.sentiment import Lexicon
 
-from .conftest import planted_ratings, table_from_playtimes
+from .conftest import planted_ratings, random_rating_array, table_from_playtimes
 
 
 # -- split -----------------------------------------------------------------------
@@ -354,6 +355,32 @@ def test_evaluate_and_sweep_free_both_split_halves_before_the_first_fit(monkeypa
     config, split_config = TrainConfig(rank=2, iterations=2, seed=1), SplitConfig(seed=1)
     evaluate(arr, 30, 20, config, split_config)
     sweep(arr, [1, 3], config, split_config)
+    assert fitted == [2, 1, 3]
+
+
+def test_evaluate_and_sweep_free_the_float_copy_before_the_first_fit(monkeypatch, tmp_path):
+    copies, fitted = [], []
+    original_as_array, original_fit = evaluation._as_array, evaluation._fit
+
+    def tracked_as_array(ratings):
+        arr = original_as_array(ratings)
+        assert arr is not ratings  # int64 rows, as read_ratings_array gives, are copied
+        copies[:] = [weakref.ref(arr)]
+        return arr
+
+    def checked_fit(*args, **kwargs):
+        assert len(copies) == 1 and copies[0]() is None, "the float64 copy is alive"
+        fitted.append(args[2].rank)
+        return original_fit(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "_as_array", tracked_as_array)
+    monkeypatch.setattr(evaluation, "_fit", checked_fit)
+    path = tmp_path / "ratings.csv"
+    write_ratings_csv(random_rating_array(np.random.default_rng(3), 30, 20, 200), path)
+    rows = read_ratings_array(path)
+    config, split_config = TrainConfig(rank=2, iterations=2, seed=1), SplitConfig(seed=1)
+    evaluate(rows, 30, 20, config, split_config)
+    sweep(rows, [1, 3], config, split_config)
     assert fitted == [2, 1, 3]
 
 

@@ -368,7 +368,8 @@ def test_steam_literal_line_takes_the_translation():
         "{'a': '''x'''}", "{'a': 'x' 'y'}", "{'a': u'x'}", "{1: 'x'}", "{'a': 'x\\'y'}",
         "{'a': '\ud800'}", "{'a': 1}\x00", "['x', 'y]", "{'a': \"b}", "[١]", "[1] # c",
         "{'a': 'x\ty'}", "{'a': -0.0, 'b': 1e999, 'c': True, 'd': None}", "[inf]", "[nan]",
-        "{'user_id': 'u', 'items': {[1]}}", "{[1]: 'x'}",
+        "{'user_id': 'u', 'items': {[1]}}", "{[1]: 'x'}", "{'a': 'café \udfff'}",
+        "['\udc80', 'é']",
     ],
 )
 def test_lines_json_would_misread_fall_back_to_literal_eval(line):

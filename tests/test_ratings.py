@@ -1,5 +1,7 @@
 import re
 import statistics
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from steamrec import (
     playtime_rating,
     write_ratings_csv,
 )
+from steamrec import ratings
 from steamrec.ratings import _item_medians, derive_array, match_reviews, read_ratings_array
 from steamrec.sentiment import classify, score
 
@@ -415,6 +418,13 @@ def test_ratings_array_round_trip(tmp_path):
         ("0,1,5\n1,2,3,4\n2,2\n", "line 3: '1,2,3,4' is not three integers"),
         ("0,1,5\n\n", "line 3: '' is not three integers"),
         ("0,1,5\n1,2,99999999999999999999\n", "line 3: '1,2,99999999999999999999'"),
+        # not ASCII decimal: int() reads the first two, and np.loadtxt, given a
+        # non-ASCII character, reads U+01FE as a digit worth 462 and U+0761 as 1841
+        ("0,1,5\n1,2,0_1\n", "line 3: '1,2,0_1' is not three integers"),
+        ("0,1,5\n1,2,١\n", "line 3: '1,2,١' is not three integers"),
+        ("0,1,5\n1,2,Ǿ\n", "line 3: '1,2,Ǿ' is not three integers"),
+        ("0,1,5\nǾ1,2,3\n", "line 3: 'Ǿ1,2,3' is not three integers"),
+        ("0,1,5\n1,2,ݡ\n", "line 3: '1,2,ݡ' is not three integers"),
     ],
 )
 def test_read_ratings_names_the_bad_line(tmp_path, body, message):
@@ -434,3 +444,81 @@ def test_read_ratings_numbers_lines_as_iterating_the_file_does(tmp_path, inside)
         read_ratings_array(path)
     path.write_text(rows, encoding="utf-8")
     assert read_ratings_array(path).tolist() == [[0, 1, 5], [2, 0, 4]]
+
+
+@pytest.mark.parametrize("at", range(8))
+@pytest.mark.parametrize("bad", ["", "1,2", "1,x,3"])
+def test_read_ratings_names_the_bad_line_across_search_chunks(tmp_path, monkeypatch, at, bad):
+    monkeypatch.setattr(ratings, "_CSV_CHUNK", 3)  # chunks of lines 2-4, 5-7 and 8-9
+    body = ["0,1,5"] * 7
+    body.insert(at, bad)
+    path = tmp_path / "ratings.csv"
+    path.write_text("user_index,item_index,rating\n" + "\n".join(body) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"line {at + 2}: {bad!r} is not three integers")):
+        read_ratings_array(path)
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def reference_ratings(body: list[str]) -> np.ndarray | str:
+    """The rows of a ratings.csv body, or the message naming its first bad line.
+
+    One line at a time: three comma-separated fields, each an optional sign and
+    ASCII digits within int64 once ``str.strip`` has removed its whitespace.
+    Ranges are checked once every line has parsed.
+    """
+    rows = []
+    for lineno, line in enumerate(body, start=2):
+        fields = [field.strip() for field in line.split(",")]
+        if len(fields) != 3 or not all(_INTEGER.fullmatch(field) for field in fields):
+            return f"line {lineno}: {line!r} is not three integers"
+        row = [int(field) for field in fields]
+        if not all(-(2**63) <= value < 2**63 for value in row):
+            return f"line {lineno}: {line!r} is not three integers"
+        rows.append(row)
+    for lineno, (user, item, rating) in enumerate(rows, start=2):
+        if user < 0:
+            return f"line {lineno}: user index {user} is negative"
+        if item < 0:
+            return f"line {lineno}: item index {item} is negative"
+        if not 1 <= rating <= 5:
+            return f"line {lineno}: rating {rating} outside 1..5"
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+
+_FIELDS = st.one_of(
+    st.integers(-2, 7).map(str),
+    st.integers(2**63 - 2, 2**64).map(str),
+    st.integers(-(2**63) - 2, -(2**63)).map(str),
+    st.sampled_from(["+1", " 1 ", "-0", "007", "", " ", "1 2", "2.0", "x", "+", "\f3", "4\x85",
+                     "\u20285", "\xa01", "1\f2", "3\x1c"]),
+    # int() reads the first two; np.loadtxt misreads the others as digits
+    st.sampled_from(["0_1", "١", "Ǿ", "3Ǿ", "ݡ"]),
+)
+_ROWS = st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(1, 5)).map(
+    lambda row: "%d,%d,%d" % row)
+_ODD_LINES = st.one_of(
+    st.lists(_FIELDS, min_size=3, max_size=3).map(",".join),
+    st.lists(_FIELDS, min_size=1, max_size=5).map(",".join),  # 2- and 4-field rows, trailing commas
+    st.sampled_from(["", " ", "\t", "\f", "\x85", "\u2028", "0,1,5\f", "0,\u20281,5", "1,2,3,"]),
+)
+# valid rows with at most two odd lines among them, so that each odd line can decide
+_BODIES = st.tuples(st.lists(_ROWS, max_size=6), st.lists(_ODD_LINES, max_size=2)).flatmap(
+    lambda parts: st.permutations(parts[0] + parts[1])).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=_BODIES)
+def test_read_ratings_parses_each_line_as_the_reference_does(body):
+    expected = reference_ratings(body)
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "ratings.csv"
+        text = "user_index,item_index,rating\n" + "\n".join(body) + "\n"
+        path.write_text(text, encoding="utf-8", newline="")
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=re.escape(f"{path}: {expected}")):
+                read_ratings_array(path)
+        else:
+            got = read_ratings_array(path)
+            assert got.dtype == np.int64 and got.tolist() == expected.tolist()
