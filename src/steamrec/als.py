@@ -170,9 +170,10 @@ def _triples(ratings, dtype=None) -> np.ndarray:
     return arr
 
 
-def _as_array(ratings) -> np.ndarray:
-    """``_triples`` as float64, which must be nonempty, finite and hold
-    whole-number indices."""
+def _columns(ratings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The user and item index columns (intp) and the rating column (float64) of
+    ``_triples(ratings)``, which must be nonempty, finite and hold whole-number
+    indices below 2^53 in magnitude (a float64 past that skips integers)."""
     arr = _triples(ratings, np.float64)
     if arr.size == 0:
         raise ValueError("ratings must be nonempty")
@@ -181,13 +182,9 @@ def _as_array(ratings) -> np.ndarray:
     indices = arr[:, :2]
     if not (np.trunc(indices) == indices).all():
         raise ValueError("user and item indices must be whole numbers")
-    return arr
-
-
-def _columns(ratings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The user and item index columns (intp) and the rating column of ``ratings``."""
-    arr = _as_array(ratings)
-    return arr[:, 0].astype(np.intp), arr[:, 1].astype(np.intp), arr[:, 2]
+    if not (np.abs(indices) < 2.0**53).all():
+        raise ValueError("user and item indices must be below 2**53 in magnitude")
+    return indices[:, 0].astype(np.intp), indices[:, 1].astype(np.intp), arr[:, 2]
 
 
 def init_model(num_users: int, num_items: int, config: TrainConfig) -> FactorModel:
@@ -252,23 +249,10 @@ def _csr(
     return RatingCSR(indptr, partners[order], values[order])
 
 
-def group_by_user(ratings, num_users: int) -> RatingCSR:
-    """Each user's (item_indices, ratings), in input order; every user index
-    must be in ``range(num_users)``."""
-    users, items, values = _columns(ratings)
-    return _csr(users, items, values, num_users, "user")
-
-
-def group_by_item(ratings, num_items: int) -> RatingCSR:
-    """Each item's (user_indices, ratings), in input order; every item index
-    must be in ``range(num_items)``."""
-    users, items, values = _columns(ratings)
-    return _csr(items, users, values, num_items, "item")
-
-
-def _grouped(ratings, num_users: int, num_items: int) -> tuple[RatingCSR, RatingCSR]:
-    """``group_by_user`` and ``group_by_item`` of ``ratings``, from one conversion."""
-    users, items, values = _columns(ratings)
+def _grouped(columns, num_users: int, num_items: int) -> tuple[RatingCSR, RatingCSR]:
+    """The user side and the item side of ``_columns`` output as CSRs; every user
+    index must be in ``range(num_users)`` and every item index in ``range(num_items)``."""
+    users, items, values = columns
     by_user = _csr(users, items, values, num_users, "user")
     return by_user, _csr(items, users, values, num_items, "item")
 
@@ -308,8 +292,8 @@ def solve_half_step(
 ) -> np.ndarray:
     """Re-solve every free row against the fixed side; returns a new matrix.
 
-    ``rows`` holds each free row's partners and ratings (``group_by_user`` or
-    ``group_by_item``).  Rows with no observations keep their current values.
+    ``rows`` holds each free row's partners and ratings (one side of
+    ``_grouped``).  Rows with no observations keep their current values.
     Rows are bucketed by observation count rounded up to the nearest 2^e or
     3 * 2^(e - 2), and their normal equations are formed a bucket block at a
     time and solved in batches that span buckets.  When ``regularization`` > 0, a bucket
@@ -385,7 +369,7 @@ def objective(
     regularization: float,
 ) -> float:
     """Weighted-regularization training objective J over the observed triples."""
-    by_user, by_item = _grouped(ratings, len(user_factors), len(item_factors))
+    by_user, by_item = _grouped(_columns(ratings), len(user_factors), len(item_factors))
     return _loss(user_factors, item_factors, by_user, by_item, regularization)
 
 
@@ -444,7 +428,7 @@ def train(
     Returns:
         The trained model and the loss trace with one J value per half-step.
     """
-    by_user, by_item = _grouped(ratings, num_users, num_items)
+    by_user, by_item = _grouped(_columns(ratings), num_users, num_items)
     lam = config.regularization
     trace = LossTrace()
     model = _fit(

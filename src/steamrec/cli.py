@@ -324,7 +324,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    ranks = [int(r) for r in args.ranks.split(",") if r.strip()]
+    try:
+        ranks = [int(r) for r in args.ranks.split(",") if r.strip()]
+    except ValueError:
+        raise ConfigError(f"--ranks {args.ranks!r} is not a list of integers") from None
     if not ranks:
         raise ConfigError(f"--ranks {args.ranks!r} names no rank")
     rows, _, _ = _read_ratings(args.ratings)

@@ -9,16 +9,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .als import (
-    FactorModel,
-    TrainConfig,
-    _as_array,
-    _columns,
-    _fit,
-    _grouped,
-    _squared_error,
-    _triples,
-)
+from .als import FactorModel, TrainConfig, _columns, _fit, _grouped, _squared_error, _triples
 from .errors import ConfigError, EvaluationError
 from .ingest import InteractionTable, Review
 from .sentiment import ClassCounts, Lexicon, bundled_lexicon, class_counts
@@ -61,7 +52,12 @@ def split(ratings: Sequence, config: SplitConfig) -> tuple[np.ndarray, np.ndarra
     seed always produces the same partition.
     """
     rows = _triples(ratings)
-    n = len(rows)
+    train, test = _partition(len(rows), config)
+    return rows[train], rows[test]
+
+
+def _partition(n: int, config: SplitConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of ``split``'s train and test rows among ``n`` rows."""
     if n < 2:
         raise ConfigError("need at least 2 ratings to split")
     cut = math.floor(config.fraction * n)
@@ -70,7 +66,7 @@ def split(ratings: Sequence, config: SplitConfig) -> tuple[np.ndarray, np.ndarra
             f"fraction {config.fraction} leaves an empty side for {n} ratings"
         )
     perm = np.random.default_rng(config.seed).permutation(n)
-    return rows[perm[:cut]], rows[perm[cut:]]
+    return perm[:cut], perm[cut:]
 
 
 def rmse(
@@ -84,15 +80,16 @@ def rmse(
     Cold-start triples are dropped and counted; if everything is dropped the
     evaluation fails.
     """
-    return _WarmTest(test, *_columns(train_ratings)[:2]).report(model, strategy)
+    return _WarmTest(_columns(test), *_columns(train_ratings)[:2]).report(model, strategy)
 
 
 class _WarmTest:
     """The test triples whose user and item both appear in training, and the
-    number of the others: the part of ``rmse`` that the model does not change."""
+    number of the others: the part of ``rmse`` that the model does not change.
+    ``test`` is ``_columns`` output."""
 
-    def __init__(self, test: Sequence, train_users: np.ndarray, train_items: np.ndarray):
-        test_users, test_items, test_values = _columns(test)
+    def __init__(self, test, train_users: np.ndarray, train_items: np.ndarray):
+        test_users, test_items, test_values = test
         warm = np.isin(test_users, train_users) & np.isin(test_items, train_items)
         if not warm.any():
             raise EvaluationError("every test triple was cold (unseen user or item)")
@@ -113,19 +110,18 @@ class _WarmTest:
 
 def _held_out(ratings: Sequence, dims: tuple[int, int] | None, configs: list[TrainConfig],
               split_config: SplitConfig, strategy: str) -> list[EvalReport]:
-    """Split ``ratings`` once, group its train side and find its warm test triples once,
-    then fit each config on the train side and report it.
+    """Convert ``ratings`` once, split its columns, group the train side and find
+    the warm test triples once, then fit each config on the train side and report it.
 
     ``dims`` is (num_users, num_items), or None for one past each largest index.
     """
-    arr = _as_array(ratings)
-    num_users, num_items = dims or (int(arr[:, 0].max()) + 1, int(arr[:, 1].max()) + 1)
-    train_part, test_part = split(arr, split_config)
-    del arr  # a float64 copy, unless the ratings were float64 already
-    by_user, by_item = _grouped(train_part, num_users, num_items)
+    columns = _columns(ratings)
+    num_users, num_items = dims or (int(columns[0].max()) + 1, int(columns[1].max()) + 1)
+    train, test = _partition(len(columns[2]), split_config)
+    by_user, by_item = _grouped([column[train] for column in columns], num_users, num_items)
     seen = (np.flatnonzero(np.diff(rows.indptr)) for rows in (by_user, by_item))
-    warm = _WarmTest(test_part, *seen)
-    del train_part, test_part  # the fits need only the grouping and the warm triples
+    warm = _WarmTest([column[test] for column in columns], *seen)
+    del columns, train, test  # the fits need only the grouping and the warm triples
     return [warm.report(_fit(by_user, by_item, config), strategy) for config in configs]
 
 

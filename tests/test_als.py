@@ -10,8 +10,8 @@ from steamrec.als import (
     FactorModel,
     RatingCSR,
     TrainConfig,
-    group_by_item,
-    group_by_user,
+    _columns,
+    _grouped,
     init_model,
     load_model,
     objective,
@@ -75,10 +75,9 @@ def test_init_rejects_empty_sides():
 
 def test_grouping_by_both_sides():
     arr = np.array([[0, 1, 5.0], [1, 0, 3.0], [0, 0, 4.0]])
-    by_user = group_by_user(arr, 2)
+    by_user, by_item = _grouped(_columns(arr), 2, 3)
     assert by_user[0][0].tolist() == [1, 0] and by_user[0][1].tolist() == [5.0, 4.0]
     assert by_user[1][0].tolist() == [0]
-    by_item = group_by_item(arr, 3)
     assert by_item[0][0].tolist() == [1, 0]
     assert by_item[2][0].tolist() == []
     assert by_user.indptr.tolist() == [0, 2, 3] and by_item.indptr.tolist() == [0, 2, 3, 3]
@@ -363,7 +362,7 @@ def test_half_step_is_blockwise_optimal():
     arr = random_rating_array(rng, 12, 9, 40)
     config = TrainConfig(rank=3, iterations=1, regularization=0.1, seed=5)
     model = init_model(12, 9, config)
-    groups = group_by_user(arr, 12)
+    groups, _ = _grouped(_columns(arr), 12, 9)
     solved = solve_half_step(model.item_factors, groups, 0.1, model.user_factors)
     base = objective(solved, model.item_factors, arr, 0.1)
     eps = 1e-3
@@ -428,7 +427,7 @@ def test_loss_trace_equals_public_objective_bit_for_bit(monkeypatch):
         _, trace = train(arr, num_users, num_items, config)
         model = init_model(num_users, num_items, config)
         user_factors, item_factors = model.user_factors, model.item_factors
-        by_user, by_item = group_by_user(arr, num_users), group_by_item(arr, num_items)
+        by_user, by_item = _grouped(_columns(arr), num_users, num_items)
         expected = []
         for _ in range(config.iterations):
             user_factors = solve_half_step(item_factors, by_user, 0.1, user_factors)
@@ -510,12 +509,10 @@ def test_train_validates_inputs():
     config = TrainConfig(rank=1)
     with pytest.raises(ValueError):
         train([], 1, 1, config)
-    with pytest.raises(ValueError):
-        train([(5, 0, 3.0)], 2, 2, config)
     with pytest.raises(ValueError, match="user index out of range"):
-        group_by_user([(5, 0, 3.0)], 2)
+        train([(5, 0, 3.0)], 2, 2, config)
     with pytest.raises(ValueError, match="item index out of range"):
-        group_by_item([(0, -1, 3.0)], 2)
+        train([(0, -1, 3.0)], 2, 2, config)
     bad_initial = init_model(2, 2, TrainConfig(rank=3))
     with pytest.raises(ConfigError):
         train([(0, 0, 3.0)], 2, 2, config, initial=bad_initial)
@@ -532,7 +529,7 @@ def test_a_row_with_extra_fields_is_rejected_in_every_form(rows):
         lambda: train(rows, 1, 1, TrainConfig(rank=1)),
         lambda: objective(model.user_factors, model.item_factors, rows, 0.1),
         lambda: train_rmse(model, rows),
-        lambda: group_by_user(rows, 1),
+        lambda: _columns(rows),
     ):
         with pytest.raises(ValueError, match="ratings must be triples"):
             call()

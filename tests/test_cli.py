@@ -4,11 +4,12 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import steamrec
@@ -382,11 +383,14 @@ def test_atomic_writes_to_one_directory_do_not_collide(tmp_path):
 def test_sweep_with_no_ranks_is_one_line_error(tmp_path, capsys):
     path = tmp_path / "ratings.csv"
     path.write_text("user_index,item_index,rating\n0,0,5\n1,0,4\n", encoding="utf-8")
-    code = main(["sweep", "--ratings", str(path), "--ranks", ","])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err == "steamrec: error: --ranks ',' names no rank\n"
+    for ranks, message in ((",", "names no rank"), ("abc", "is not a list of integers"),
+                           ("2.5", "is not a list of integers"),
+                           ("2,x,4", "is not a list of integers")):
+        code = main(["sweep", "--ratings", str(path), "--ranks", ranks])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"steamrec: error: --ranks {ranks!r} {message}\n"
 
 
 _VALID_CONFIG = {"items": "items.jsonl", "out_dir": "out"}
@@ -583,15 +587,26 @@ def test_subcommand_chain_reproduces_pipeline_artifacts(tmp_path, capsys):
         assert (work / name).read_bytes() == (pipe / name).read_bytes(), name
 
 
-# JSON values for a run configuration.  Integers stay small because rank,
-# iterations and k set the run time, not whether main raises; paths are kept
-# inside the working directory by leaving "/", "\\" and "." out of strings.
+# JSON values for a run configuration.  Integers are small or of huge magnitude
+# (past int64 and past every float); only "train.iterations" never draws a huge
+# positive one, since the iteration count sets the run time, not whether main
+# raises.  Paths are kept inside the working directory by leaving "/", "\\" and
+# "." out of strings.
 _TEXT = st.text(st.characters(blacklist_characters="/\\."), max_size=6)
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-2, 30) | st.floats() | _TEXT,
-    lambda children: st.lists(children, max_size=3) | st.dictionaries(_TEXT, children, max_size=3),
-    max_leaves=6,
-)
+_HUGE = [10**20, -10**20, 10**400, -10**400, 2**63]
+
+
+def _json_values(integers):
+    return st.recursive(
+        st.none() | st.booleans() | integers | st.floats() | _TEXT,
+        lambda children: st.lists(children, max_size=3)
+        | st.dictionaries(_TEXT, children, max_size=3),
+        max_leaves=6,
+    )
+
+
+_JSON = _json_values(st.integers(-2, 30) | st.sampled_from(_HUGE))
+_ITERATIONS_JSON = _json_values(st.integers(-2, 30) | st.sampled_from([n for n in _HUGE if n < 0]))
 _BASE_CONFIG = {
     "items": str((DATA_DIR / "pipeline_items.jsonl").resolve()),
     "reviews": str((DATA_DIR / "pipeline_reviews.jsonl").resolve()),
@@ -614,7 +629,7 @@ def _vary(draw, mapping):
         if how == "keep":
             varied[key] = _vary(draw, value) if isinstance(value, dict) else value
         elif how == "any":
-            varied[key] = draw(_JSON)
+            varied[key] = draw(_ITERATIONS_JSON if key == "iterations" else _JSON)
     return varied
 
 
@@ -626,6 +641,8 @@ def _run_configs(draw):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(config=_run_configs())
+@example(config={**_BASE_CONFIG, "train": {"lambda": 10**400}})
+@example(config={**_BASE_CONFIG, "train": {"lambda": 10**20}})
 def test_any_json_config_exits_0_or_1_with_one_error_line(capsys, config):
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
@@ -931,3 +948,15 @@ def test_a_ratings_index_too_large_to_allocate_is_one_line_error(tmp_path, capsy
     code, stdout, stderr, model = _run_fit(capsys, command, path, [], tmp_path / "model.bin")
     assert (code, stdout, model) == (1, "", b"")
     assert stderr.count("\n") == 1 and stderr.startswith("steamrec: error: Unable to allocate")
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
+def test_a_ratings_index_past_2_to_the_53_is_one_line_error(tmp_path, capsys, command):
+    # 2**63 - 1 rounds to 2**63 as a float64, which no cast to an index survives
+    path = tmp_path / "ratings.csv"
+    path.write_text(f"user_index,item_index,rating\n0,0,5\n{2**63 - 1},1,4\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, stdout, stderr, model = _run_fit(capsys, command, path, [], tmp_path / "model.bin")
+    assert (code, stdout, model) == (1, "", b"")
+    assert stderr == "steamrec: error: user and item indices must be below 2**53 in magnitude\n"

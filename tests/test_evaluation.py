@@ -322,59 +322,78 @@ def test_train_evaluate_and_sweep_convert_the_train_ratings_once(monkeypatch):
         return columns(ratings)
 
     monkeypatch.setattr(als, "_columns", counting)
+    monkeypatch.setattr(evaluation, "_columns", counting)
     arr = planted_ratings(num_users=30, num_items=20, seed=5)
     config, split_config = TrainConfig(rank=2, iterations=2, seed=1), SplitConfig(seed=1)
-    train_size = len(split(arr, split_config)[0])
-    for call, converted in (
-        (lambda: train(arr, 30, 20, config), len(arr)),
-        (lambda: evaluate(arr, 30, 20, config, split_config), train_size),
-        (lambda: sweep(arr, [1, 2], config, split_config), train_size),
+    for call in (
+        lambda: train(arr, 30, 20, config),
+        lambda: evaluate(arr, 30, 20, config, split_config),
+        lambda: sweep(arr, [1, 2], config, split_config),
     ):
         calls.clear()
         call()
-        assert calls == [converted]
+        assert calls == [len(arr)]  # all rows, once, before the split
 
 
-def test_evaluate_and_sweep_free_both_split_halves_before_the_first_fit(monkeypatch):
-    halves, fitted = [], []
-    original_split, original_fit = evaluation.split, evaluation._fit
-
-    def tracked_split(ratings, config):
-        parts = original_split(ratings, config)
-        halves[:] = [weakref.ref(part) for part in parts]
-        return parts
+def _checked_fits(monkeypatch, tracked):
+    """Patch ``evaluation._fit`` to assert that every weak reference in ``tracked``
+    is dead; returns the list of ranks it fits."""
+    fitted, original_fit = [], evaluation._fit
 
     def checked_fit(*args, **kwargs):
-        assert len(halves) == 2 and all(ref() is None for ref in halves), "a split half is alive"
+        assert tracked and all(ref() is None for ref in tracked), "a converted array is alive"
         fitted.append(args[2].rank)
         return original_fit(*args, **kwargs)
 
-    monkeypatch.setattr(evaluation, "split", tracked_split)
     monkeypatch.setattr(evaluation, "_fit", checked_fit)
+    return fitted
+
+
+def test_evaluate_and_sweep_free_both_split_halves_before_the_first_fit(monkeypatch):
+    halves = []
+    original_partition = evaluation._partition
+    original_grouped, original_warm = evaluation._grouped, evaluation._WarmTest
+
+    def tracked_partition(n, config):
+        positions = original_partition(n, config)
+        halves[:] = [weakref.ref(part.base) for part in positions]  # the permutation they view
+        return positions
+
+    def tracked_grouped(columns, *args):
+        assert len(halves) == 2
+        halves.extend(weakref.ref(column) for column in columns)
+        return original_grouped(columns, *args)
+
+    def tracked_warm(columns, *args):
+        assert len(halves) == 5
+        halves.extend(weakref.ref(column) for column in columns)
+        return original_warm(columns, *args)
+
+    monkeypatch.setattr(evaluation, "_partition", tracked_partition)
+    monkeypatch.setattr(evaluation, "_grouped", tracked_grouped)
+    monkeypatch.setattr(evaluation, "_WarmTest", tracked_warm)
+    fitted = _checked_fits(monkeypatch, halves)
     arr = planted_ratings(num_users=30, num_items=20, seed=6)
     config, split_config = TrainConfig(rank=2, iterations=2, seed=1), SplitConfig(seed=1)
     evaluate(arr, 30, 20, config, split_config)
     sweep(arr, [1, 3], config, split_config)
-    assert fitted == [2, 1, 3]
+    assert fitted == [2, 1, 3] and len(halves) == 8
 
 
 def test_evaluate_and_sweep_free_the_float_copy_before_the_first_fit(monkeypatch, tmp_path):
-    copies, fitted = [], []
-    original_as_array, original_fit = evaluation._as_array, evaluation._fit
+    converted = []
+    original_columns = evaluation._columns
 
-    def tracked_as_array(ratings):
-        arr = original_as_array(ratings)
-        assert arr is not ratings  # int64 rows, as read_ratings_array gives, are copied
-        copies[:] = [weakref.ref(arr)]
-        return arr
+    def tracked_columns(ratings):
+        columns = original_columns(ratings)
+        floats = columns[2].base  # the float64 copy the rating column views
+        # int64 rows, as read_ratings_array gives, are copied
+        assert floats is not None and floats.dtype == np.float64 and floats is not ratings
+        converted[:] = [weakref.ref(array) for array in (*columns, floats)]
+        return columns
 
-    def checked_fit(*args, **kwargs):
-        assert len(copies) == 1 and copies[0]() is None, "the float64 copy is alive"
-        fitted.append(args[2].rank)
-        return original_fit(*args, **kwargs)
-
-    monkeypatch.setattr(evaluation, "_as_array", tracked_as_array)
-    monkeypatch.setattr(evaluation, "_fit", checked_fit)
+    monkeypatch.setattr(evaluation, "_columns", tracked_columns)
+    fitted = _checked_fits(monkeypatch, converted)
     path = tmp_path / "ratings.csv"
     write_ratings_csv(random_rating_array(np.random.default_rng(3), 30, 20, 200), path)
     rows = read_ratings_array(path)
@@ -426,6 +445,10 @@ def test_every_residual_sum_matches_one_numpy_pass_across_chunks(monkeypatch):
         ([(0, np.inf, 4.0), (1, 1, 3.0)], "finite"),
         ([(0, 0, np.nan), (1, 1, 3.0)], "finite"),
         ([(0, 0, 4.0), (1, 1, -np.inf)], "finite"),
+        # no float64 at or past 2**53 is an exact integer, and 2**63 - 1 rounds past intp
+        ([(2**63 - 1, 0, 4.0), (1, 1, 3.0)], r"below 2\*\*53"),
+        ([(0, 0, 4.0), (1, 2**53, 3.0)], r"below 2\*\*53"),
+        (np.array([[0, 0, 4], [1, -(2**63), 3]]), r"below 2\*\*53"),
     ],
 )
 def test_fractional_or_non_finite_rows_are_one_value_error(rows, message):
